@@ -6,9 +6,26 @@
 //! [`SlotTracker`] answers "what is the first cycle at or after `t` with a
 //! free slot?" and books it.
 
-use std::collections::HashMap;
+/// One cycle of a [`SlotTracker`] window.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Bookings in this cycle.
+    used: u32,
+    /// `0` while the cycle has room. Once it is full, a forward distance
+    /// to a later cycle no further than the first one with room; every
+    /// cycle it jumps over is full.
+    skip: u32,
+}
 
 /// Books up to `width` events per cycle.
+///
+/// Bookings live in a dense window that starts at the frontier: entry
+/// `i` is cycle `frontier + i`, and cycles past the end of the window
+/// are empty. Full cycles carry path-compressed skip pointers towards
+/// the next cycle with room, so a request that lands on a run of full
+/// cycles jumps over it in amortised O(1) instead of probing each one.
+/// Memory is proportional to the span between the frontier and the
+/// highest booking, which the core keeps short by retiring regularly.
 ///
 /// # Examples
 ///
@@ -22,15 +39,18 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct SlotTracker {
     width: u32,
-    used: HashMap<u64, u32>,
     /// Cycles below this bound can no longer be requested (program order
-    /// guarantees monotone dispatch); used for pruning.
+    /// guarantees monotone dispatch); requests below it are floored to it.
     frontier: u64,
+    /// `window[i]` holds the bookings of cycle `frontier + i`.
+    window: Vec<Slot>,
 }
 
 impl SlotTracker {
-    /// Prune when the map exceeds this many entries.
-    const PRUNE_THRESHOLD: usize = 1 << 16;
+    /// A restored booking may sit at most this many cycles above the
+    /// frontier; anything further is a corrupt payload, not a window to
+    /// allocate.
+    const MAX_SPAN: u64 = 1 << 24;
 
     /// Creates a tracker with `width` slots per cycle.
     ///
@@ -42,34 +62,59 @@ impl SlotTracker {
         assert!(width > 0, "width must be positive");
         Self {
             width,
-            used: HashMap::new(),
             frontier: 0,
+            window: Vec::new(),
         }
     }
 
-    /// Books one slot at the first cycle `>= at` with spare capacity and
-    /// returns that cycle.
+    /// Books one slot at the first cycle `>= max(at, frontier)` with spare
+    /// capacity and returns that cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cycle lies beyond the host's address space above the
+    /// frontier.
     pub fn alloc(&mut self, at: u64) -> u64 {
-        let mut cycle = at.max(self.frontier);
-        loop {
-            let used = self.used.entry(cycle).or_insert(0);
-            if *used < self.width {
-                *used += 1;
-                return cycle;
-            }
-            cycle += 1;
+        let start = usize::try_from(at.saturating_sub(self.frontier))
+            .expect("slot booking offset exceeds the address space");
+        let i = self.first_with_room(start);
+        if i >= self.window.len() {
+            self.window.resize(i + 1, Slot::default());
         }
+        let slot = &mut self.window[i];
+        slot.used += 1;
+        if slot.used == self.width {
+            slot.skip = 1;
+        }
+        self.frontier + i as u64
+    }
+
+    /// Index of the first cycle at or after window index `start` with
+    /// room, compressing the skip path walked to get there.
+    fn first_with_room(&mut self, start: usize) -> usize {
+        let mut free = start;
+        while let Some(slot) = self.window.get(free).filter(|s| s.skip != 0) {
+            free += slot.skip as usize;
+        }
+        let mut i = start;
+        while i < free {
+            let slot = &mut self.window[i];
+            let next = i + slot.skip as usize;
+            // A shorter jump is still sound: it lands on a full cycle.
+            slot.skip = u32::try_from(free - i).unwrap_or(u32::MAX);
+            i = next;
+        }
+        free
     }
 
     /// Declares that no future request will target a cycle below `bound`,
-    /// allowing stale bookings to be discarded.
+    /// discarding the bookings there.
     pub fn retire_below(&mut self, bound: u64) {
         if bound > self.frontier {
+            let stale = usize::try_from(bound - self.frontier)
+                .map_or(self.window.len(), |n| n.min(self.window.len()));
+            self.window.drain(..stale);
             self.frontier = bound;
-            if self.used.len() > Self::PRUNE_THRESHOLD {
-                let frontier = self.frontier;
-                self.used.retain(|&c, _| c >= frontier);
-            }
         }
     }
 
@@ -86,14 +131,15 @@ impl Snapshot for SlotTracker {
     fn write_state(&self, w: &mut SectionWriter) {
         w.put_u32(self.width);
         w.put_u64(self.frontier);
-        // HashMap iteration order is unspecified: sort for a canonical
-        // encoding so identical states produce identical bytes.
-        let mut bookings: Vec<(u64, u32)> = self.used.iter().map(|(&c, &n)| (c, n)).collect();
-        bookings.sort_unstable();
-        w.put_len(bookings.len());
-        for (cycle, used) in bookings {
+        let booked = || {
+            (self.frontier..)
+                .zip(&self.window)
+                .filter(|(_, slot)| slot.used > 0)
+        };
+        w.put_len(booked().count());
+        for (cycle, slot) in booked() {
             w.put_u64(cycle);
-            w.put_u32(used);
+            w.put_u32(slot.used);
         }
     }
 }
@@ -106,16 +152,46 @@ impl Restorable for SlotTracker {
         }
         let frontier = r.take_u64("slot tracker frontier")?;
         let len = r.take_len(12, "slot tracker booking count")?;
-        let mut used = HashMap::with_capacity(len);
+        let mut window = Vec::new();
+        let mut previous = None;
         for _ in 0..len {
             let cycle = r.take_u64("slot tracker cycle")?;
-            let count = r.take_u32("slot tracker booking")?;
-            used.insert(cycle, count);
+            let used = r.take_u32("slot tracker booking")?;
+            if previous.is_some_and(|p| cycle <= p) {
+                return Err(r.bad_value(format!(
+                    "slot tracker cycle {cycle} not above the previous booking"
+                )));
+            }
+            previous = Some(cycle);
+            if used == 0 || used > width {
+                return Err(r.bad_value(format!(
+                    "slot tracker books {used} slots in a {width}-wide cycle"
+                )));
+            }
+            // Older encodings kept bookings below the frontier until a
+            // prune; no request can reach them, so they are dropped.
+            let Some(offset) = cycle.checked_sub(frontier) else {
+                continue;
+            };
+            if offset >= Self::MAX_SPAN {
+                return Err(SnapshotError::WidthOverflow {
+                    section: r.section().to_string(),
+                    what: "slot tracker booking span",
+                    value: offset,
+                    limit: Self::MAX_SPAN,
+                });
+            }
+            // Ascending cycles: this one lies at or past the window's end.
+            window.resize(offset as usize, Slot::default());
+            window.push(Slot {
+                used,
+                skip: u32::from(used == width),
+            });
         }
         Ok(Self {
             width,
-            used,
             frontier,
+            window,
         })
     }
 }
@@ -149,12 +225,21 @@ mod tests {
     #[test]
     fn pruning_preserves_behaviour_above_frontier() {
         let mut t = SlotTracker::new(1);
-        for i in 0..(SlotTracker::PRUNE_THRESHOLD as u64 + 10) {
+        for i in 0..70_000 {
             t.alloc(i);
         }
         t.alloc(2_000_000);
-        t.retire_below(1_000_000); // triggers pruning
+        t.retire_below(1_000_000);
         assert_eq!(t.alloc(2_000_000), 2_000_001, "booking above frontier kept");
+    }
+
+    #[test]
+    fn retiring_past_every_booking_empties_the_window() {
+        let mut t = SlotTracker::new(2);
+        t.alloc(7);
+        t.retire_below(u64::MAX);
+        assert!(t.window.is_empty());
+        assert_eq!(t.alloc(0), u64::MAX);
     }
 
     #[test]

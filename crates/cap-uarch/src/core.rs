@@ -417,7 +417,11 @@ impl OooCore {
             self.commit_ring.push_back(commit);
             self.stats.instructions += 1;
 
-            // Allow trackers to prune below the dispatch frontier.
+            // Advance the trackers' frontiers, discarding older bookings.
+            // The frontier also floors later requests (the speculative
+            // `fetch + 1` port booking can fall below it), so this cadence
+            // and these bounds are part of the timing model: changing
+            // either changes cycle counts.
             if self.stats.instructions.is_multiple_of(8192) {
                 self.fetch_slots.retire_below(fetch);
                 self.dispatch_slots.retire_below(dispatch);

@@ -4,12 +4,13 @@
 use cap_rand::check;
 use cap_rand::rngs::StdRng;
 use cap_rand::{Rng, SeedableRng};
+use cap_snapshot::{Restorable, Snapshot};
 use cap_trace::builder::TraceBuilder;
 use cap_trace::record::OpLatency;
 use cap_uarch::capacity::SlotTracker;
 use cap_uarch::core::{run_trace, CoreConfig};
 use cap_uarch::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// SlotTracker never books more than `width` events into one cycle and
 /// never books before the requested cycle.
@@ -26,6 +27,83 @@ fn slot_tracker_respects_width() {
             let c = booked.entry(got).or_insert(0);
             *c += 1;
             assert!(*c <= width);
+        }
+    });
+}
+
+/// Naive first-fit booking model: probes one cycle at a time from
+/// `max(at, frontier)` and forgets bookings below the frontier.
+struct ReferenceTracker {
+    width: u32,
+    frontier: u64,
+    used: BTreeMap<u64, u32>,
+}
+
+impl ReferenceTracker {
+    fn alloc(&mut self, at: u64) -> u64 {
+        let mut cycle = at.max(self.frontier);
+        loop {
+            let used = self.used.entry(cycle).or_insert(0);
+            if *used < self.width {
+                *used += 1;
+                return cycle;
+            }
+            cycle += 1;
+        }
+    }
+
+    fn retire_below(&mut self, bound: u64) {
+        if bound > self.frontier {
+            self.frontier = bound;
+            self.used = self.used.split_off(&bound);
+        }
+    }
+}
+
+/// SlotTracker returns exactly the reference model's cycle for every
+/// request, across random interleavings of bookings (clustered, far
+/// below the frontier, far above the highest booking), retirements and
+/// snapshot round-trips.
+#[test]
+fn slot_tracker_matches_reference_model() {
+    check::run("slot_tracker_matches_reference_model", |rng| {
+        let width = rng.gen_range(1u32..=8);
+        let mut tracker = SlotTracker::new(width);
+        let mut reference = ReferenceTracker {
+            width,
+            frontier: 0,
+            used: BTreeMap::new(),
+        };
+        let mut highest = 0u64;
+        for step in 0..rng.gen_range(1usize..1_500) {
+            let frontier = reference.frontier;
+            let at = match rng.gen_range(0u8..10) {
+                0 => {
+                    let bound = match rng.gen_range(0u8..4) {
+                        0 => frontier.saturating_sub(rng.gen_range(0..100)),
+                        1 => highest + rng.gen_range(0..50),
+                        _ => rng.gen_range(frontier..=highest.max(frontier)),
+                    };
+                    tracker.retire_below(bound);
+                    reference.retire_below(bound);
+                    continue;
+                }
+                1 => frontier.saturating_sub(rng.gen_range(1_000..1_000_000)),
+                2 => highest + rng.gen_range(1_000..20_000),
+                3 => frontier,
+                _ => highest.saturating_sub(rng.gen_range(0..64)),
+            };
+            let got = tracker.alloc(at);
+            assert_eq!(
+                got,
+                reference.alloc(at),
+                "width {width}, step {step}, request {at}"
+            );
+            highest = highest.max(got);
+            if step % 97 == 0 {
+                tracker = SlotTracker::from_payload(&tracker.to_payload(), "slots")
+                    .expect("own payload restores");
+            }
         }
     });
 }

@@ -6,9 +6,12 @@
 //! must reproduce the original bytes.
 
 use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
-use cap_snapshot::{Restorable, Snapshot, SnapshotArchive, SnapshotBuilder};
-use cap_uarch::core::{CoreConfig, CoreStats, OooCore};
+use cap_snapshot::{
+    Restorable, SectionWriter, Snapshot, SnapshotArchive, SnapshotBuilder, SnapshotError,
+};
 use cap_trace::Trace;
+use cap_uarch::capacity::SlotTracker;
+use cap_uarch::core::{CoreConfig, CoreStats, OooCore};
 
 fn traces() -> (Trace, Trace) {
     let catalog = cap_trace::suites::catalog();
@@ -76,5 +79,71 @@ fn hostile_core_payload_never_panics() {
     for cut in (0..payload.len()).step_by(step) {
         let err = OooCore::from_payload(&payload[..cut], "core");
         assert!(err.is_err(), "truncated payload at {cut} must not decode");
+    }
+}
+
+/// A slot tracker payload: width, frontier, then `(cycle, bookings)`.
+fn slot_payload(width: u32, frontier: u64, bookings: &[(u64, u32)]) -> Vec<u8> {
+    let mut w = SectionWriter::new();
+    w.put_u32(width);
+    w.put_u64(frontier);
+    w.put_len(bookings.len());
+    for &(cycle, used) in bookings {
+        w.put_u64(cycle);
+        w.put_u32(used);
+    }
+    w.into_bytes()
+}
+
+#[test]
+fn slot_tracker_rejects_far_bookings_without_allocating() {
+    for (frontier, cycle) in [(0, u64::MAX - 1), (7, u64::MAX), (0, 1 << 40)] {
+        let payload = slot_payload(4, frontier, &[(cycle, 1)]);
+        let err = SlotTracker::from_payload(&payload, "slots").expect_err("far booking");
+        assert!(
+            matches!(err, SnapshotError::WidthOverflow { .. }),
+            "unexpected error {err:?}"
+        );
+    }
+}
+
+#[test]
+fn slot_tracker_rejects_malformed_bookings() {
+    for bookings in [
+        &[(12, 1), (10, 1)][..],
+        &[(10, 1), (10, 1)],
+        &[(10, 0)],
+        &[(10, 5)],
+    ] {
+        let payload = slot_payload(4, 0, bookings);
+        assert!(
+            SlotTracker::from_payload(&payload, "slots").is_err(),
+            "{bookings:?}"
+        );
+    }
+}
+
+#[test]
+fn slot_tracker_restores_older_payload_with_stale_bookings() {
+    // Older encodings kept bookings below the frontier until a prune.
+    let old = slot_payload(
+        2,
+        100,
+        &[(10, 2), (50, 1), (99, 2), (100, 2), (101, 1), (105, 2)],
+    );
+    let mut restored = SlotTracker::from_payload(&old, "slots").expect("old payload restores");
+
+    let mut live = SlotTracker::new(2);
+    live.retire_below(100);
+    for at in [100, 100, 101, 105, 105] {
+        live.alloc(at);
+    }
+    assert_eq!(
+        restored.to_payload(),
+        live.to_payload(),
+        "stale bookings dropped"
+    );
+    for at in [0, 50, 100, 100, 101, 104, 105, 105, 200, 103] {
+        assert_eq!(restored.alloc(at), live.alloc(at), "request {at}");
     }
 }

@@ -99,6 +99,17 @@ core_gates() {
     done
     echo "kill-and-resume smoke: bit-identical metrics after resume"
 
+    step "perfbench: unit tests + seed-0 repro-timing digest"
+    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+    bash perfbench/run.sh --workload repro-timing --seed 0 --seconds 2 --trace 0 \
+        > "$SMOKE_DIR/perfbench.out"
+    if ! tail -n 1 "$SMOKE_DIR/perfbench.out" | grep -q '"correct": true'; then
+        echo "ERROR: repro-timing seed 0 no longer matches the pinned timing digest" >&2
+        tail -n 1 "$SMOKE_DIR/perfbench.out" >&2
+        exit 1
+    fi
+    echo "perfbench: repro-timing seed 0 matches the pinned digest"
+
     step "hermeticity: no external crates in any manifest"
     if grep -rn 'rand\|proptest\|criterion' Cargo.toml crates/*/Cargo.toml | grep -v 'cap-rand'; then
         echo "ERROR: external dependency reference found in a manifest" >&2

@@ -43,6 +43,34 @@ fn timing_simulation_is_reproducible() {
     assert_eq!(run(), run());
 }
 
+/// Fig 7 cycle counts pinned for the no-prediction baseline and the
+/// hybrid. The traces run ~37k instructions each, so the timing core's
+/// periodic slot retirement is exercised several times per run.
+#[test]
+fn timing_cycles_are_pinned() {
+    let cfg = CoreConfig::paper_default();
+    for (spec, baseline, hybrid) in [
+        (&Suite::Jav.traces()[0], 16_716, 12_354),
+        (&Suite::Int.traces()[0], 22_156, 17_703),
+        (&Suite::Tpc.traces()[0], 55_254, 52_063),
+    ] {
+        let trace = spec.generate(20_000);
+        let mut p = HybridPredictor::new(HybridConfig::paper_default());
+        assert_eq!(
+            run_trace(&trace, &cfg, None, 0).cycles,
+            baseline,
+            "{} baseline",
+            spec.name
+        );
+        assert_eq!(
+            run_trace(&trace, &cfg, Some(&mut p), 0).cycles,
+            hybrid,
+            "{} hybrid",
+            spec.name
+        );
+    }
+}
+
 #[test]
 fn distinct_traces_differ() {
     // Sanity that the catalog isn't returning one canned trace.
