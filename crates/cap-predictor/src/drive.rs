@@ -15,15 +15,13 @@
 //! control-based ablation), and accounts statistics per the paper's
 //! definitions.
 //!
-//! The former free functions (`run_immediate`, `run_value_immediate`,
-//! `run_with_gap`, `run_with_wrong_path`) survive one release as thin
-//! deprecated wrappers over [`Session`].
+//! [`GapPipe`] is the gap pipeline itself, shared with the timing core
+//! (`cap-uarch`), which applies the same delayed updates.
 
 use crate::metrics::PredictorStats;
 use crate::types::{AddressPredictor, LoadContext, Prediction};
 use cap_obs::Obs;
 use cap_trace::{BranchKind, Trace, TraceEvent};
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// Architectural control-flow state carried alongside the instruction
@@ -74,7 +72,7 @@ impl Restorable for ControlState {
 }
 
 /// One in-flight load awaiting resolution in the gap pipeline.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Pending {
     ctx: LoadContext,
     pred: Prediction,
@@ -83,15 +81,73 @@ struct Pending {
     seq: u64,
 }
 
-/// A configured trace-driven evaluation run — the one entry point that
-/// replaces the former `run_immediate` / `run_value_immediate` /
-/// `run_with_gap` / `run_with_wrong_path` quartet.
+/// The §5 gap pipeline: predictions whose table update waits until `gap`
+/// dynamic instructions have passed, oldest first.
+///
+/// Each instruction runs [`GapPipe::drain`] before adding at most one
+/// entry, so when a load is predicted the pipe holds fewer than `gap`
+/// entries. Its in-flight count ([`LoadContext::pending`]) is therefore
+/// read straight from the pipe: a short scan that cannot drift from what
+/// is actually pending.
+#[derive(Debug)]
+pub struct GapPipe {
+    gap: u64,
+    pending: VecDeque<Pending>,
+}
+
+impl GapPipe {
+    /// An empty pipe for a prediction gap of `gap` instructions.
+    #[must_use]
+    pub fn new(gap: usize) -> Self {
+        Self {
+            gap: gap as u64,
+            pending: VecDeque::with_capacity(gap + 1),
+        }
+    }
+
+    /// Unresolved predictions of the static load at `ip`.
+    #[must_use]
+    pub fn in_flight(&self, ip: u64) -> u32 {
+        self.pending.iter().filter(|p| p.ctx.ip == ip).count() as u32
+    }
+
+    /// Queues the resolution of a load predicted at instruction `seq`.
+    pub fn push(&mut self, ctx: LoadContext, pred: Prediction, actual: u64, seq: u64) {
+        self.pending.push_back(Pending {
+            ctx,
+            pred,
+            actual,
+            seq,
+        });
+    }
+
+    /// Resolves, oldest first, every load whose gap has elapsed by
+    /// instruction `seq`: updates the predictor and records the outcome.
+    /// `u64::MAX` resolves everything (end of trace).
+    pub fn drain<P: AddressPredictor + ?Sized>(
+        &mut self,
+        seq: u64,
+        predictor: &mut P,
+        stats: &mut PredictorStats,
+        obs: &Obs,
+    ) {
+        let gap = self.gap;
+        while let Some(p) = self
+            .pending
+            .pop_front_if(|p| p.seq.saturating_add(gap) <= seq)
+        {
+            predictor.update(&p.ctx, p.actual, &p.pred);
+            stats.record_with(&p.pred, p.actual, obs);
+        }
+    }
+}
+
+/// A configured trace-driven evaluation run.
 ///
 /// The default session is the immediate-update model of §4: each load
 /// is predicted and resolved before the next load is seen. The builder
 /// methods layer the paper's other models on top, and compose — a
-/// gapped session can also suffer wrong-path pollution, which the old
-/// free functions could not express.
+/// gapped session can also suffer wrong-path pollution.
 ///
 /// # Examples
 ///
@@ -232,10 +288,8 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
         if self.obs.enabled() {
             self.predictor.set_obs(self.obs.clone());
         }
-        if self.wrong_path_percent > 0 {
-            self.run_wrong_path(trace)
-        } else if self.gap > 0 {
-            self.run_gapped(trace)
+        if self.gap > 0 || self.wrong_path_percent > 0 {
+            self.run_pipelined(trace)
         } else {
             self.run_immediate(trace)
         }
@@ -260,120 +314,22 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
         stats
     }
 
-    fn run_gapped(self, trace: &Trace) -> PredictorStats {
-        let gap = self.gap;
+    /// The gap pipeline (§5) and wrong-path pollution (§5.4). At gap 0
+    /// each load resolves before the next instruction, as in
+    /// [`Session::run_immediate`].
+    fn run_pipelined(self, trace: &Trace) -> PredictorStats {
         let mut stats = PredictorStats::new();
         let mut control = ControlState::default();
-        let mut pipe: VecDeque<Pending> = VecDeque::with_capacity(gap + 1);
-        let mut in_flight: HashMap<u64, u32> = HashMap::new();
-
-        let resolve = |predictor: &mut P,
-                       stats: &mut PredictorStats,
-                       in_flight: &mut HashMap<u64, u32>,
-                       obs: &Obs,
-                       p: Pending| {
-            predictor.update(&p.ctx, p.actual, &p.pred);
-            stats.record_with(&p.pred, p.actual, obs);
-            if let Some(n) = in_flight.get_mut(&p.ctx.ip) {
-                *n -= 1;
-                if *n == 0 {
-                    in_flight.remove(&p.ctx.ip);
-                }
-            }
-        };
-
-        for (seq, event) in trace.iter().enumerate() {
-            let seq = seq as u64;
-            // Drain resolutions older than the gap.
-            while let Some(p) = pipe
-                .front()
-                .is_some_and(|p| p.seq + gap as u64 <= seq)
-                .then(|| pipe.pop_front())
-                .flatten()
-            {
-                resolve(self.predictor, &mut stats, &mut in_flight, &self.obs, p);
-            }
-            match event {
-                TraceEvent::Load(load) => {
-                    let pending = in_flight.get(&load.ip).copied().unwrap_or(0);
-                    let ctx = self.context_of(load, &control, pending);
-                    let actual = self.actual_of(load);
-                    let pred = self.predictor.predict(&ctx);
-                    *in_flight.entry(load.ip).or_insert(0) += 1;
-                    pipe.push_back(Pending {
-                        ctx,
-                        pred,
-                        actual,
-                        seq,
-                    });
-                }
-                TraceEvent::Branch(b) => control.on_branch(b.ip, b.taken, b.kind),
-                TraceEvent::Store(_) | TraceEvent::Op(_) => {}
-            }
-        }
-        while let Some(p) = pipe.pop_front() {
-            resolve(self.predictor, &mut stats, &mut in_flight, &self.obs, p);
-        }
-        stats
-    }
-
-    fn run_wrong_path(self, trace: &Trace) -> PredictorStats {
-        let gap = self.gap;
-        let mut stats = PredictorStats::new();
-        let mut control = ControlState::default();
-        let mut pipe: VecDeque<Pending> = VecDeque::with_capacity(gap + 1);
-        let mut in_flight: HashMap<u64, u32> = HashMap::new();
-        let events: Vec<&TraceEvent> = trace.iter().collect();
-
-        let resolve = |predictor: &mut P,
-                       stats: &mut PredictorStats,
-                       in_flight: &mut HashMap<u64, u32>,
-                       obs: &Obs,
-                       p: Pending| {
-            predictor.update(&p.ctx, p.actual, &p.pred);
-            stats.record_with(&p.pred, p.actual, obs);
-            if let Some(n) = in_flight.get_mut(&p.ctx.ip) {
-                *n -= 1;
-                if *n == 0 {
-                    in_flight.remove(&p.ctx.ip);
-                }
-            }
-        };
-
+        let mut pipe = GapPipe::new(self.gap);
+        let events = trace.events();
         for (i, event) in events.iter().enumerate() {
-            if gap > 0 {
-                let seq = i as u64;
-                while let Some(p) = pipe
-                    .front()
-                    .is_some_and(|p| p.seq + gap as u64 <= seq)
-                    .then(|| pipe.pop_front())
-                    .flatten()
-                {
-                    resolve(self.predictor, &mut stats, &mut in_flight, &self.obs, p);
-                }
-            }
+            let seq = i as u64;
+            pipe.drain(seq, self.predictor, &mut stats, &self.obs);
             match event {
                 TraceEvent::Load(load) => {
-                    let pending = if gap > 0 {
-                        in_flight.get(&load.ip).copied().unwrap_or(0)
-                    } else {
-                        0
-                    };
-                    let ctx = self.context_of(load, &control, pending);
-                    let actual = self.actual_of(load);
+                    let ctx = self.context_of(load, &control, pipe.in_flight(load.ip));
                     let pred = self.predictor.predict(&ctx);
-                    if gap > 0 {
-                        *in_flight.entry(load.ip).or_insert(0) += 1;
-                        pipe.push_back(Pending {
-                            ctx,
-                            pred,
-                            actual,
-                            seq: i as u64,
-                        });
-                    } else {
-                        self.predictor.update(&ctx, actual, &pred);
-                        stats.record_with(&pred, actual, &self.obs);
-                    }
+                    pipe.push(ctx, pred, self.actual_of(load), seq);
                 }
                 TraceEvent::Branch(b) => {
                     control.on_branch(b.ip, b.taken, b.kind);
@@ -407,65 +363,9 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
                 TraceEvent::Store(_) | TraceEvent::Op(_) => {}
             }
         }
-        while let Some(p) = pipe.pop_front() {
-            resolve(self.predictor, &mut stats, &mut in_flight, &self.obs, p);
-        }
+        pipe.drain(u64::MAX, self.predictor, &mut stats, &self.obs);
         stats
     }
-}
-
-/// Runs a predictor over a trace under the immediate-update model (§4).
-#[deprecated(since = "0.1.0", note = "use `drive::Session::new(predictor).run(trace)`")]
-pub fn run_immediate<P: AddressPredictor + ?Sized>(
-    predictor: &mut P,
-    trace: &Trace,
-) -> PredictorStats {
-    Session::new(predictor).run(trace)
-}
-
-/// Runs a predictor over a trace's *value* stream under the
-/// immediate-update model.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `drive::Session::new(predictor).values(true).run(trace)`"
-)]
-pub fn run_value_immediate<P: AddressPredictor + ?Sized>(
-    predictor: &mut P,
-    trace: &Trace,
-) -> PredictorStats {
-    Session::new(predictor).values(true).run(trace)
-}
-
-/// Runs a predictor over a trace with a *prediction gap* (§5).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `drive::Session::new(predictor).gap(gap).run(trace)`"
-)]
-pub fn run_with_gap<P: AddressPredictor + ?Sized>(
-    predictor: &mut P,
-    trace: &Trace,
-    gap: usize,
-) -> PredictorStats {
-    Session::new(predictor).gap(gap).run(trace)
-}
-
-/// Runs a predictor with *wrong-path pollution* (§5.4).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `drive::Session::new(predictor).wrong_path(p).wrong_path_depth(d).recovery(r).run(trace)`"
-)]
-pub fn run_with_wrong_path<P: AddressPredictor + ?Sized>(
-    predictor: &mut P,
-    trace: &Trace,
-    wrong_path_percent: u32,
-    wrong_path_depth: usize,
-    recovery: bool,
-) -> PredictorStats {
-    Session::new(predictor)
-        .wrong_path(wrong_path_percent)
-        .wrong_path_depth(wrong_path_depth)
-        .recovery(recovery)
-        .run(trace)
 }
 
 #[cfg(test)]
@@ -610,48 +510,8 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_session() {
-        // The one-release compatibility wrappers must stay bit-identical
-        // to the Session they delegate to.
-        let trace = cap_trace::suites::catalog()[1].generate(4_000);
-
-        let mut a = small_hybrid();
-        let mut b = small_hybrid();
-        assert_eq!(
-            run_immediate(&mut a, &trace),
-            Session::new(&mut b).run(&trace)
-        );
-
-        let mut a = small_hybrid();
-        let mut b = small_hybrid();
-        assert_eq!(
-            run_value_immediate(&mut a, &trace),
-            Session::new(&mut b).values(true).run(&trace)
-        );
-
-        let mut a = small_hybrid();
-        let mut b = small_hybrid();
-        assert_eq!(
-            run_with_gap(&mut a, &trace, 8),
-            Session::new(&mut b).gap(8).run(&trace)
-        );
-
-        let mut a = small_hybrid();
-        let mut b = small_hybrid();
-        assert_eq!(
-            run_with_wrong_path(&mut a, &trace, 15, 4, false),
-            Session::new(&mut b)
-                .wrong_path(15)
-                .wrong_path_depth(4)
-                .run(&trace)
-        );
-    }
-
-    #[test]
     fn gap_composes_with_wrong_path() {
-        // The combination the old quartet could not express: a gapped
-        // pipe suffering wrong-path pollution. All correct-path loads
+        // A gapped pipe suffering wrong-path pollution. All correct-path loads
         // must still resolve, and pollution must not help.
         let trace = cap_trace::suites::catalog()[2].generate(10_000);
         let loads = trace.load_count() as u64;

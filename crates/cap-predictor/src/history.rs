@@ -9,11 +9,15 @@
 //! truncate. The scheme "naturally ages past addresses": after enough
 //! pushes an old address's bits are entirely shifted out.
 //!
-//! For experiment fidelity we store the last `N` raw addresses and fold on
-//! demand — this makes *history length* an exact, sweepable parameter
-//! (Figure 9). Hardware would keep only the folded register; the folded
-//! value we compute is identical to what an incremental implementation of
-//! width `index_bits + tag_bits` produces.
+//! [`HistoryBuffer`] keeps the folded value as one register that every
+//! push updates in O(1), as hardware would: shift, xor in the newest
+//! address, xor out the address that leaves the window. It also keeps
+//! the last `N` raw addresses, which makes *history length* an exact,
+//! sweepable parameter (Figure 9), lets variable-length predictors fold
+//! shorter suffixes ([`HistoryBuffer::fold_last`]), and is what snapshots
+//! and fault injection see. Edits that bypass `push` (a corrupted bit, a
+//! restored snapshot) mark the register stale; folds then recompute from
+//! the raw addresses until the next push rebuilds it.
 
 use std::collections::VecDeque;
 
@@ -51,8 +55,8 @@ impl HistorySpec {
     }
 
     /// Splits a folded accumulator of [`HistorySpec::width`] bits into
-    /// Link-Table index and tag — shared by the fold-on-demand buffer below
-    /// and incremental (bit-packed) folded registers.
+    /// Link-Table index and tag — shared by [`HistoryBuffer`] and the
+    /// bit-packed folded registers.
     #[must_use]
     pub fn split(&self, h: u64) -> FoldedHistory {
         FoldedHistory {
@@ -65,15 +69,20 @@ impl HistorySpec {
         }
     }
 
+    fn mask(&self) -> u64 {
+        (1u64 << self.width()) - 1
+    }
+
     /// Validates the spec.
     ///
     /// # Panics
     ///
-    /// Panics if the spec is degenerate (zero length, zero shift, zero
-    /// width, or width > 63).
+    /// Panics if the spec is degenerate (zero length, shift outside
+    /// 1..=63, zero width, or width > 63).
     pub fn validate(&self) {
         assert!(self.length > 0, "history length must be positive");
         assert!(self.shift > 0, "shift amount must be positive");
+        assert!(self.shift < 64, "shift amount must be below 64");
         assert!(self.width() > 0, "folded width must be positive");
         assert!(self.width() <= 63, "folded width must fit in u64");
     }
@@ -88,11 +97,31 @@ pub struct FoldedHistory {
     pub tag: u64,
 }
 
-/// A bounded FIFO of recent (base) addresses for one static load.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Register value marking the fold as stale. Folded values are at most
+/// 63 bits wide (see [`HistorySpec::validate`]), so it never collides.
+const STALE: u64 = u64::MAX;
+
+/// A bounded FIFO of recent (base) addresses for one static load, plus
+/// its shift(m)-xor folded register.
+///
+/// The register follows the spec passed to [`HistoryBuffer::push`]; a
+/// buffer is pushed and folded with one spec throughout (every predictor
+/// here holds one spec per buffer).
+#[derive(Debug, Clone, Default)]
 pub struct HistoryBuffer {
     addrs: VecDeque<u64>,
+    /// Fold of `addrs` under the push spec, or [`STALE`].
+    folded: u64,
 }
+
+/// Equality is over the recorded addresses; the register is derived.
+impl PartialEq for HistoryBuffer {
+    fn eq(&self, other: &Self) -> bool {
+        self.addrs == other.addrs
+    }
+}
+
+impl Eq for HistoryBuffer {}
 
 impl HistoryBuffer {
     /// Creates an empty history.
@@ -102,12 +131,29 @@ impl HistoryBuffer {
     }
 
     /// Records `addr` as the most recent address, keeping at most
-    /// `spec.length` entries.
+    /// `spec.length` entries, and rolls the folded register forward.
     pub fn push(&mut self, addr: u64, spec: &HistorySpec) {
         self.addrs.push_back(addr);
-        while self.addrs.len() > spec.length {
-            self.addrs.pop_front();
+        if self.folded == STALE {
+            // A restored buffer may be longer than the spec: trim, rebuild.
+            while self.addrs.len() > spec.length {
+                self.addrs.pop_front();
+            }
+            self.folded = self.fold_raw(spec, spec.length);
+            return;
         }
+        let mut h = (self.folded << spec.shift) ^ (addr >> 2);
+        if self.addrs.len() > spec.length {
+            if let Some(old) = self.addrs.pop_front() {
+                // `old` was pushed `length` pushes ago, so its bits now
+                // sit at `shift * length` (or past bit 63: gone).
+                let age = u32::try_from(spec.length)
+                    .ok()
+                    .and_then(|l| l.checked_mul(spec.shift));
+                h ^= age.and_then(|s| (old >> 2).checked_shl(s)).unwrap_or(0);
+            }
+        }
+        self.folded = h & spec.mask();
     }
 
     /// Number of recorded addresses (≤ `spec.length`).
@@ -129,31 +175,37 @@ impl HistoryBuffer {
         self.addrs.len() >= spec.length
     }
 
-    /// Folds the recorded addresses with the shift(m)-xor scheme and splits
-    /// the result into LT index and tag.
-    ///
-    /// Oldest address first, so the newest address's bits occupy the least
-    /// shifted (freshest) position — matching an incremental register that
-    /// shifts on every push.
+    /// The recorded addresses folded with the shift(m)-xor scheme, split
+    /// into LT index and tag. O(1): reads the register, or refolds when
+    /// it is stale. Always equal to `fold_last(spec, spec.length)`.
     #[must_use]
     pub fn fold(&self, spec: &HistorySpec) -> FoldedHistory {
-        self.fold_last(spec, spec.length)
+        if self.folded == STALE {
+            return self.fold_last(spec, spec.length);
+        }
+        spec.split(self.folded)
     }
 
     /// Folds only the most recent `length` recorded addresses — used by
     /// variable-history-length predictors that serve several context
     /// lengths from one buffer (retain at the longest, fold at each).
+    ///
+    /// Oldest address first, so the newest address's bits occupy the least
+    /// shifted (freshest) position, as in the register `push` maintains.
     #[must_use]
     pub fn fold_last(&self, spec: &HistorySpec, length: usize) -> FoldedHistory {
-        let width = spec.width();
-        let mask = (1u64 << width) - 1;
+        spec.split(self.fold_raw(spec, length))
+    }
+
+    fn fold_raw(&self, spec: &HistorySpec, length: usize) -> u64 {
+        let mask = spec.mask();
         let mut h: u64 = 0;
         let skip = self.addrs.len().saturating_sub(length);
         for &a in self.addrs.iter().skip(skip) {
             // All LSBs except the last two (alignment bits), per §3.2.
             h = ((h << spec.shift) ^ (a >> 2)) & mask;
         }
-        spec.split(h)
+        h
     }
 
     /// True once at least `length` addresses are recorded.
@@ -175,18 +227,21 @@ impl HistoryBuffer {
         if let Some(a) = self.addrs.get_mut(slot) {
             *a ^= 1u64 << (bit % 64);
         }
+        self.folded = STALE;
         true
     }
 
     /// Clears the history (used when repairing speculative state).
     pub fn clear(&mut self) {
         self.addrs.clear();
+        self.folded = 0;
     }
 
     /// Copies another history's contents into this one (state repair).
     pub fn copy_from(&mut self, other: &HistoryBuffer) {
         self.addrs.clear();
         self.addrs.extend(other.addrs.iter().copied());
+        self.folded = other.folded;
     }
 }
 
@@ -246,7 +301,11 @@ impl Restorable for HistoryBuffer {
         for _ in 0..len {
             addrs.push_back(r.take_u64("history address")?);
         }
-        Ok(Self { addrs })
+        // The spec is not part of the payload; the next push refolds.
+        Ok(Self {
+            addrs,
+            folded: STALE,
+        })
     }
 }
 

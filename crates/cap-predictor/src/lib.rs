@@ -40,9 +40,6 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// The legacy `drive::run_*` wrappers are deprecated in favour of
-// `drive::Session`; denying here keeps internal callers from creeping
-// back before the wrappers are removed outright.
 #![deny(deprecated)]
 
 pub mod cap;

@@ -123,7 +123,8 @@ impl LtWrite {
 #[derive(Debug, Clone)]
 pub struct LinkTable {
     config: LinkTableConfig,
-    sets: Vec<Vec<Option<LtEntry>>>,
+    /// Set-major ways: set `s` is `ways[s * assoc..(s + 1) * assoc]`.
+    ways: Vec<Option<LtEntry>>,
     decoupled_pf: Vec<(u8, bool)>,
     tick: u64,
 }
@@ -147,7 +148,7 @@ impl LinkTable {
             _ => 0,
         };
         Self {
-            sets: vec![vec![None; config.assoc]; config.sets()],
+            ways: vec![None; config.entries],
             decoupled_pf: vec![(0, false); decoupled_len],
             config,
             tick: 0,
@@ -164,12 +165,18 @@ impl LinkTable {
         (folded.index as usize) & (self.config.sets() - 1)
     }
 
+    /// The ways of `folded`'s set.
+    fn set_range(&self, folded: &FoldedHistory) -> std::ops::Range<usize> {
+        let start = self.set_index(folded) * self.config.assoc;
+        start..start + self.config.assoc
+    }
+
     /// Looks up the link for a folded history. Returns the linked (base)
     /// address only on a tag match.
     #[must_use]
     pub fn lookup(&self, folded: &FoldedHistory) -> Option<u64> {
-        let set = &self.sets[self.set_index(folded)];
-        set.iter()
+        self.ways[self.set_range(folded)]
+            .iter()
             .flatten()
             .find(|e| e.tag == folded.tag)
             .map(|e| e.link)
@@ -192,8 +199,8 @@ impl LinkTable {
             PfMode::Inline => {
                 // Inline PF: consult/refresh the PF bits of the entry this
                 // update maps to (the victim entry if none matches).
-                let set_idx = self.set_index(folded);
-                let set = &mut self.sets[set_idx];
+                let range = self.set_range(folded);
+                let set = &mut self.ways[range];
                 // Find the matching way, else the way we would replace.
                 let way = Self::way_for(set, folded.tag);
                 match &mut set[way] {
@@ -240,8 +247,8 @@ impl LinkTable {
             return LtWrite::Deferred;
         }
         let tick = self.tick;
-        let set_idx = self.set_index(folded);
-        let set = &mut self.sets[set_idx];
+        let range = self.set_range(folded);
+        let set = &mut self.ways[range];
         let way = Self::way_for(set, folded.tag);
         let (pf_state, outcome) = match set[way] {
             Some(e) if e.tag == folded.tag && e.link == base => {
@@ -286,12 +293,12 @@ impl LinkTable {
     /// Number of live entries (diagnostics).
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().flatten().flatten().count()
+        self.entries().count()
     }
 
     /// Iterates over live entries (diagnostics, invariant checking).
     pub fn entries(&self) -> impl Iterator<Item = &LtEntry> {
-        self.sets.iter().flatten().flatten()
+        self.ways.iter().flatten()
     }
 
     /// Mutably iterates over live entries — the fault-injection surface for
@@ -299,7 +306,7 @@ impl LinkTable {
     /// arbitrary field edits: a corrupted tag behaves like a miss/alias and
     /// corrupted PF bits only change admit decisions.
     pub fn entries_mut(&mut self) -> impl Iterator<Item = &mut LtEntry> {
-        self.sets.iter_mut().flatten().flatten()
+        self.ways.iter_mut().flatten()
     }
 
     /// Mutable view of the decoupled PF table (empty unless
@@ -405,15 +412,13 @@ impl Snapshot for LinkTable {
     fn write_state(&self, w: &mut SectionWriter) {
         self.config.write_state(w);
         w.put_u64(self.tick);
-        for set in &self.sets {
-            for way in set {
-                match way {
-                    Some(entry) => {
-                        w.put_bool(true);
-                        entry.write_state(w);
-                    }
-                    None => w.put_bool(false),
+        for way in &self.ways {
+            match way {
+                Some(entry) => {
+                    w.put_bool(true);
+                    entry.write_state(w);
                 }
+                None => w.put_bool(false),
             }
         }
         for &(pf, primed) in &self.decoupled_pf {
@@ -427,17 +432,15 @@ impl Restorable for LinkTable {
     fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
         let config = LinkTableConfig::read_state(r)?;
         let tick = r.take_u64("lt tick")?;
-        let mut sets = Vec::with_capacity(config.sets());
-        for _ in 0..config.sets() {
-            let mut set = Vec::with_capacity(config.assoc);
-            for _ in 0..config.assoc {
-                set.push(if r.take_bool("lt way presence")? {
-                    Some(LtEntry::read_state(r)?)
-                } else {
-                    None
-                });
-            }
-            sets.push(set);
+        // Every way takes at least its presence byte, so a hostile entry
+        // count cannot reserve more than the payload could fill.
+        let mut ways = Vec::with_capacity(config.entries.min(r.remaining()));
+        for _ in 0..config.entries {
+            ways.push(if r.take_bool("lt way presence")? {
+                Some(LtEntry::read_state(r)?)
+            } else {
+                None
+            });
         }
         let decoupled_len = match config.pf_mode {
             PfMode::Decoupled { extra_index_bits } => config.sets() << extra_index_bits,
@@ -451,7 +454,7 @@ impl Restorable for LinkTable {
         }
         Ok(Self {
             config,
-            sets,
+            ways,
             decoupled_pf,
             tick,
         })

@@ -171,7 +171,8 @@ impl LoadBufferConfig {
 pub struct LoadBuffer {
     config: LoadBufferConfig,
     proto: LbEntryProto,
-    sets: Vec<Vec<Option<LbEntry>>>,
+    /// Set-major ways: set `s` is `ways[s * assoc..(s + 1) * assoc]`.
+    ways: Vec<Option<LbEntry>>,
     tick: u64,
 }
 
@@ -185,7 +186,7 @@ impl LoadBuffer {
     pub fn new(config: LoadBufferConfig, proto: LbEntryProto) -> Self {
         config.validate();
         Self {
-            sets: vec![vec![None; config.assoc]; config.sets()],
+            ways: vec![None; config.entries],
             config,
             proto,
             tick: 0,
@@ -198,9 +199,12 @@ impl LoadBuffer {
         &self.config
     }
 
-    fn set_index(&self, ip: u64) -> usize {
+    /// The ways of `ip`'s set.
+    fn set_range(&self, ip: u64) -> std::ops::Range<usize> {
         // Drop the 2 alignment bits of the IP before indexing.
-        ((ip >> 2) as usize) & (self.config.sets() - 1)
+        let set = ((ip >> 2) as usize) & (self.config.sets() - 1);
+        let start = set * self.config.assoc;
+        start..start + self.config.assoc
     }
 
     /// Looks up the entry for `ip` without allocating; refreshes LRU on hit.
@@ -209,8 +213,8 @@ impl LoadBuffer {
     /// touching it, so diagnostic probes of absent IPs (or a storm of them)
     /// cannot age unrelated entries and perturb eviction order.
     pub fn lookup(&mut self, ip: u64) -> Option<&mut LbEntry> {
-        let set_idx = self.set_index(ip);
-        let entry = self.sets[set_idx]
+        let range = self.set_range(ip);
+        let entry = self.ways[range]
             .iter_mut()
             .flatten()
             .find(|e| e.tag == ip)?;
@@ -224,7 +228,7 @@ impl LoadBuffer {
     /// (e.g. [`crate::cap::CapPredictor::predict_ahead`]).
     #[must_use]
     pub fn peek(&self, ip: u64) -> Option<&LbEntry> {
-        self.sets[self.set_index(ip)]
+        self.ways[self.set_range(ip)]
             .iter()
             .flatten()
             .find(|e| e.tag == ip)
@@ -235,8 +239,8 @@ impl LoadBuffer {
     pub fn lookup_or_insert(&mut self, ip: u64) -> (&mut LbEntry, bool) {
         self.tick += 1;
         let tick = self.tick;
-        let set_idx = self.set_index(ip);
-        let set = &mut self.sets[set_idx];
+        let range = self.set_range(ip);
+        let set = &mut self.ways[range];
         let hit_way = set
             .iter()
             .position(|e| e.as_ref().is_some_and(|e| e.tag == ip));
@@ -267,12 +271,12 @@ impl LoadBuffer {
     /// Number of live entries (diagnostics).
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().flatten().flatten().count()
+        self.entries().count()
     }
 
     /// Iterates over live entries (diagnostics, invariant checking).
     pub fn entries(&self) -> impl Iterator<Item = &LbEntry> {
-        self.sets.iter().flatten().flatten()
+        self.ways.iter().flatten()
     }
 
     /// Mutably iterates over live entries. This is the fault-injection
@@ -281,7 +285,7 @@ impl LoadBuffer {
     /// set geometry is untouched and lookups tolerate stale tags (a
     /// corrupted tag simply behaves like an evicted/aliased entry).
     pub fn entries_mut(&mut self) -> impl Iterator<Item = &mut LbEntry> {
-        self.sets.iter_mut().flatten().flatten()
+        self.ways.iter_mut().flatten()
     }
 }
 
@@ -402,15 +406,13 @@ impl Snapshot for LoadBuffer {
         self.proto.cap_conf.write_state(w);
         self.proto.stride_conf.write_state(w);
         w.put_u64(self.tick);
-        for set in &self.sets {
-            for way in set {
-                match way {
-                    Some(entry) => {
-                        w.put_bool(true);
-                        entry.write_state(w);
-                    }
-                    None => w.put_bool(false),
+        for way in &self.ways {
+            match way {
+                Some(entry) => {
+                    w.put_bool(true);
+                    entry.write_state(w);
                 }
+                None => w.put_bool(false),
             }
         }
     }
@@ -424,22 +426,20 @@ impl Restorable for LoadBuffer {
             stride_conf: SaturatingCounter::read_state(r)?,
         };
         let tick = r.take_u64("lb tick")?;
-        let mut sets = Vec::with_capacity(config.sets());
-        for _ in 0..config.sets() {
-            let mut set = Vec::with_capacity(config.assoc);
-            for _ in 0..config.assoc {
-                set.push(if r.take_bool("lb way presence")? {
-                    Some(LbEntry::read_state(r)?)
-                } else {
-                    None
-                });
-            }
-            sets.push(set);
+        // Every way takes at least its presence byte, so a hostile entry
+        // count cannot reserve more than the payload could fill.
+        let mut ways = Vec::with_capacity(config.entries.min(r.remaining()));
+        for _ in 0..config.entries {
+            ways.push(if r.take_bool("lb way presence")? {
+                Some(LbEntry::read_state(r)?)
+            } else {
+                None
+            });
         }
         Ok(Self {
             config,
             proto,
-            sets,
+            ways,
             tick,
         })
     }

@@ -10,8 +10,8 @@
 //!   bits the shift(m)-xor fold can ever observe (§3.2 drops the two
 //!   alignment bits; the fold masks to `index_bits + tag_bits`). The
 //!   fold itself lives in a packed register updated on push (shift, xor
-//!   in the newest slot, xor out the evicted slot's aged contribution)
-//!   instead of being recomputed from a `VecDeque` on demand.
+//!   in the newest slot, xor out the evicted slot's aged contribution),
+//!   as in the legacy `HistoryBuffer`.
 //! * Saturating counters pack only their *value*; threshold, max and
 //!   hysteresis are table-level constants (the prototype counters), as
 //!   in hardware.

@@ -1,10 +1,10 @@
 //! Bit-packed flat-table implementations of the predictor structures.
 //!
 //! The legacy structures (`load_buffer`, `link_table`) model the paper
-//! with idiomatic Rust containers — `Vec<Vec<Option<Entry>>>` sets,
-//! `VecDeque` histories folded on demand. That layout is ideal for
-//! sweepable experiments but hostile to a hot predict path: each lookup
-//! chases several pointers, and each fold re-walks a deque.
+//! with idiomatic Rust containers — `Vec<Option<Entry>>` sets,
+//! `VecDeque` histories beside a folded register. That layout is ideal
+//! for sweepable experiments, but each entry still holds its histories
+//! in separate heap allocations.
 //!
 //! This module repacks both tables the way the hardware in the paper
 //! would hold them:
@@ -15,7 +15,7 @@
 //!   2-bit selector, counters at `bits_for(max)` bits;
 //! * the folded history kept **incrementally** in a packed register
 //!   (shift, xor in the newest slot, xor out the evicted slot's aged
-//!   contribution) instead of re-folded from raw addresses on demand;
+//!   contribution), next to raw slots of only the bits a fold can see;
 //! * zero heap allocation and zero hashing anywhere on the predict path,
 //!   plus a [`crate::types::AddressPredictor::predict_batch`] override
 //!   that amortises dispatch across a whole queue drain.

@@ -196,3 +196,122 @@ fn gap_zero_is_immediate() {
         );
     });
 }
+
+/// The folded register equals a full refold of the retained window
+/// after any sequence of pushes, bit upsets, copies, clears and snapshot
+/// round-trips, for any spec up to the full 63-bit width.
+#[test]
+fn folded_register_matches_full_fold() {
+    use cap_snapshot::{Restorable, Snapshot};
+    check::run("folded_register_matches_full_fold", |rng| {
+        let index_bits = rng.gen_range(1u32..=40);
+        let spec = HistorySpec {
+            length: rng.gen_range(1usize..=16),
+            shift: rng.gen_range(1u32..=8),
+            index_bits,
+            tag_bits: rng.gen_range(0u32..=63 - index_bits),
+        };
+        let mut h = HistoryBuffer::new();
+        let mut other = HistoryBuffer::new();
+        for step in 0..rng.gen_range(1usize..200) {
+            match rng.gen_range(0u8..16) {
+                0 => {
+                    h.corrupt_bit(rng.gen(), rng.gen());
+                }
+                1 => h.copy_from(&other),
+                2 => h.clear(),
+                3 => {
+                    h = HistoryBuffer::from_payload(&h.to_payload(), "history")
+                        .expect("own payload restores");
+                }
+                4..=6 => other.push(rng.gen(), &spec),
+                _ => h.push(rng.gen(), &spec),
+            }
+            assert_eq!(
+                h.fold(&spec),
+                h.fold_last(&spec, spec.length),
+                "{spec:?}, step {step}"
+            );
+            assert_eq!(other.fold(&spec), other.fold_last(&spec, spec.length));
+        }
+    });
+}
+
+/// Records the in-flight count each prediction sees, delegating to a
+/// real predictor so the run is a normal pipelined run.
+struct PendingRecorder {
+    inner: StridePredictor,
+    seen: Vec<(u64, u32)>,
+}
+
+impl AddressPredictor for PendingRecorder {
+    fn predict(&mut self, ctx: &LoadContext) -> Prediction {
+        self.seen.push((ctx.ip, ctx.pending));
+        self.inner.predict(ctx)
+    }
+
+    fn update(&mut self, ctx: &LoadContext, actual: u64, pred: &Prediction) {
+        self.inner.update(ctx, actual, pred);
+    }
+
+    fn name(&self) -> &'static str {
+        "pending-recorder"
+    }
+}
+
+/// The in-flight counts a gap of `gap` instructions should produce,
+/// kept the long way: a per-IP map incremented at predict and
+/// decremented at resolution.
+fn reference_pending(trace: &cap_trace::Trace, gap: u64) -> Vec<(u64, u32)> {
+    use std::collections::{HashMap, VecDeque};
+    let mut pipe: VecDeque<(u64, u64)> = VecDeque::new();
+    let mut in_flight: HashMap<u64, u32> = HashMap::new();
+    let mut seen = Vec::new();
+    for (seq, event) in trace.iter().enumerate() {
+        let seq = seq as u64;
+        while pipe.front().is_some_and(|&(s, _)| s + gap <= seq) {
+            let (_, ip) = pipe.pop_front().expect("front checked");
+            *in_flight.get_mut(&ip).expect("pushed before") -= 1;
+        }
+        if let cap_trace::TraceEvent::Load(load) = event {
+            let n = in_flight.entry(load.ip).or_insert(0);
+            seen.push((load.ip, *n));
+            *n += 1;
+            pipe.push_back((seq, load.ip));
+        }
+    }
+    seen
+}
+
+/// `Session::gap` hands every prediction the same `LoadContext::pending`
+/// as a reference per-IP count.
+#[test]
+fn session_pending_matches_reference_count() {
+    check::run_n("session_pending_matches_reference_count", 12, |rng| {
+        let spec = &cap_trace::suites::catalog()[rng.gen_range(0usize..45)];
+        let trace = spec.generate(rng.gen_range(500usize..3_000));
+        for gap in [0usize, 8, 24] {
+            let mut p = PendingRecorder {
+                inner: StridePredictor::new(
+                    LoadBufferConfig::paper_default(),
+                    StrideParams::paper_default(),
+                ),
+                seen: Vec::new(),
+            };
+            let _ = Session::new(&mut p).gap(gap).run(&trace);
+            if gap == 24 {
+                assert!(
+                    p.seen.iter().any(|&(_, n)| n > 1),
+                    "{}: no overlap",
+                    spec.name
+                );
+            }
+            assert_eq!(
+                p.seen,
+                reference_pending(&trace, gap as u64),
+                "{} at gap {gap}",
+                spec.name
+            );
+        }
+    });
+}

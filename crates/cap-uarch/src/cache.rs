@@ -75,6 +75,10 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(line_bytes)` and `log2(sets)`, so indexing needs no division
+    /// (derived from `config`, so not snapshotted).
+    line_shift: u32,
+    set_bits: u32,
     lines: Vec<Line>,
     tick: u64,
     hits: u64,
@@ -102,6 +106,8 @@ impl Cache {
                 };
                 config.sets() * config.assoc
             ],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_bits: config.sets().trailing_zeros(),
             config,
             tick: 0,
             hits: 0,
@@ -119,9 +125,9 @@ impl Cache {
     /// Performs one access; returns `true` on hit. Misses allocate.
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
-        let line_addr = addr / self.config.line_bytes as u64;
-        let set = (line_addr as usize) & (self.config.sets() - 1);
-        let tag = line_addr >> self.config.sets().trailing_zeros();
+        let line_addr = addr >> self.line_shift;
+        let set = (line_addr as usize) & ((1usize << self.set_bits) - 1);
+        let tag = line_addr >> self.set_bits;
         let base = set * self.config.assoc;
         let ways = &mut self.lines[base..base + self.config.assoc];
         if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
@@ -262,6 +268,8 @@ impl Restorable for Cache {
         }
         let live = lines.iter().filter(|l| l.valid).count() as u64;
         Ok(Self {
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_bits: config.sets().trailing_zeros(),
             config,
             lines,
             tick,

@@ -43,9 +43,9 @@ use crate::capacity::SlotTracker;
 use crate::hierarchy::{LatencyConfig, MemoryHierarchy};
 use crate::names;
 use cap_obs::Obs;
-use cap_predictor::drive::ControlState;
+use cap_predictor::drive::{ControlState, GapPipe};
 use cap_predictor::metrics::PredictorStats;
-use cap_predictor::types::{AddressPredictor, LoadContext, Prediction};
+use cap_predictor::types::{AddressPredictor, LoadContext};
 use cap_trace::{RegId, Trace, TraceEvent};
 use std::collections::{HashMap, VecDeque};
 
@@ -144,16 +144,6 @@ impl CoreStats {
     }
 }
 
-/// One in-flight load prediction awaiting its (gap-delayed) table update.
-#[derive(Debug)]
-struct PendingUpdate {
-    ctx: LoadContext,
-    pred: Prediction,
-    actual: u64,
-    /// Dynamic-instruction index at which the prediction was made.
-    seq: u64,
-}
-
 /// The timing simulator.
 #[derive(Debug)]
 pub struct OooCore {
@@ -243,28 +233,13 @@ impl OooCore {
         mut predictor: Option<&mut dyn AddressPredictor>,
         gap: usize,
     ) -> CoreStats {
-        let mut pending: VecDeque<PendingUpdate> = VecDeque::with_capacity(gap + 1);
-        let mut in_flight: HashMap<u64, u32> = HashMap::new();
+        let mut pipe = GapPipe::new(gap);
 
         for (seq, event) in trace.iter().enumerate() {
             let seq = seq as u64;
             // Apply predictor table updates that are past the gap.
             if let Some(p) = predictor.as_deref_mut() {
-                while let Some(u) = pending
-                    .front()
-                    .is_some_and(|u| u.seq + gap as u64 <= seq)
-                    .then(|| pending.pop_front())
-                    .flatten()
-                {
-                    p.update(&u.ctx, u.actual, &u.pred);
-                    self.stats.pred.record_with(&u.pred, u.actual, &self.obs);
-                    if let Some(n) = in_flight.get_mut(&u.ctx.ip) {
-                        *n -= 1;
-                        if *n == 0 {
-                            in_flight.remove(&u.ctx.ip);
-                        }
-                    }
-                }
+                pipe.drain(seq, p, &mut self.stats.pred, &self.obs);
             }
             // Front end.
             let fetch = self.fetch_slots.alloc(self.redirect_time);
@@ -325,16 +300,10 @@ impl OooCore {
                                 offset: load.offset,
                                 ghr: self.control.ghr,
                                 path: self.control.path,
-                                pending: in_flight.get(&load.ip).copied().unwrap_or(0),
+                                pending: pipe.in_flight(load.ip),
                             };
                             let pred = p.predict(&ctx);
-                            *in_flight.entry(load.ip).or_insert(0) += 1;
-                            pending.push_back(PendingUpdate {
-                                ctx,
-                                pred,
-                                actual: load.addr,
-                                seq,
-                            });
+                            pipe.push(ctx, pred, load.addr, seq);
                             Some(pred)
                         }
                         None => None,
@@ -436,10 +405,7 @@ impl OooCore {
 
         // Drain gap-pending predictor updates.
         if let Some(p) = predictor {
-            while let Some(u) = pending.pop_front() {
-                p.update(&u.ctx, u.actual, &u.pred);
-                self.stats.pred.record_with(&u.pred, u.actual, &self.obs);
-            }
+            pipe.drain(u64::MAX, p, &mut self.stats.pred, &self.obs);
         }
 
         if self.obs.enabled() {

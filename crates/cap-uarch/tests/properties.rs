@@ -1,6 +1,9 @@
 //! Property-based tests for the timing substrate, driven by the in-repo
 //! `cap_check` harness.
 
+use cap_predictor::load_buffer::LoadBufferConfig;
+use cap_predictor::stride::{StrideParams, StridePredictor};
+use cap_predictor::types::{AddressPredictor, LoadContext, Prediction};
 use cap_rand::check;
 use cap_rand::rngs::StdRng;
 use cap_rand::{Rng, SeedableRng};
@@ -10,7 +13,7 @@ use cap_trace::record::OpLatency;
 use cap_uarch::capacity::SlotTracker;
 use cap_uarch::core::{run_trace, CoreConfig};
 use cap_uarch::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// SlotTracker never books more than `width` events into one cycle and
 /// never books before the requested cycle.
@@ -211,5 +214,76 @@ fn prediction_is_nearly_free_when_useless() {
             with.cycles,
             base.cycles
         );
+    });
+}
+
+/// Records the in-flight count each prediction sees, delegating to a
+/// real predictor so the run is a normal pipelined run.
+struct PendingRecorder {
+    inner: StridePredictor,
+    seen: Vec<(u64, u32)>,
+}
+
+impl AddressPredictor for PendingRecorder {
+    fn predict(&mut self, ctx: &LoadContext) -> Prediction {
+        self.seen.push((ctx.ip, ctx.pending));
+        self.inner.predict(ctx)
+    }
+
+    fn update(&mut self, ctx: &LoadContext, actual: u64, pred: &Prediction) {
+        self.inner.update(ctx, actual, pred);
+    }
+
+    fn name(&self) -> &'static str {
+        "pending-recorder"
+    }
+}
+
+/// The in-flight counts a gap of `gap` instructions should produce,
+/// kept the long way: a per-IP map incremented at predict and
+/// decremented at resolution.
+fn reference_pending(trace: &cap_trace::Trace, gap: u64) -> Vec<(u64, u32)> {
+    let mut pipe: VecDeque<(u64, u64)> = VecDeque::new();
+    let mut in_flight: HashMap<u64, u32> = HashMap::new();
+    let mut seen = Vec::new();
+    for (seq, event) in trace.iter().enumerate() {
+        let seq = seq as u64;
+        while pipe.front().is_some_and(|&(s, _)| s + gap <= seq) {
+            let (_, ip) = pipe.pop_front().expect("front checked");
+            *in_flight.get_mut(&ip).expect("pushed before") -= 1;
+        }
+        if let cap_trace::TraceEvent::Load(load) = event {
+            let n = in_flight.entry(load.ip).or_insert(0);
+            seen.push((load.ip, *n));
+            *n += 1;
+            pipe.push_back((seq, load.ip));
+        }
+    }
+    seen
+}
+
+/// The timing core hands every prediction the same
+/// `LoadContext::pending` as a reference per-IP count.
+#[test]
+fn core_pending_matches_reference_count() {
+    check::run_n("core_pending_matches_reference_count", 8, |rng| {
+        let spec = &cap_trace::suites::catalog()[rng.gen_range(0usize..45)];
+        let trace = spec.generate(rng.gen_range(500usize..3_000));
+        for gap in [0usize, 8, 24] {
+            let mut p = PendingRecorder {
+                inner: StridePredictor::new(
+                    LoadBufferConfig::paper_default(),
+                    StrideParams::paper_default(),
+                ),
+                seen: Vec::new(),
+            };
+            let _ = run_trace(&trace, &CoreConfig::paper_default(), Some(&mut p), gap);
+            assert_eq!(
+                p.seen,
+                reference_pending(&trace, gap as u64),
+                "{} at gap {gap}",
+                spec.name
+            );
+        }
     });
 }

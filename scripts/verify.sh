@@ -99,16 +99,18 @@ core_gates() {
     done
     echo "kill-and-resume smoke: bit-identical metrics after resume"
 
-    step "perfbench: unit tests + seed-0 repro-timing digest"
+    step "perfbench: unit tests + seed-0 repro-predict and repro-timing digests"
     cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
-    bash perfbench/run.sh --workload repro-timing --seed 0 --seconds 2 --trace 0 \
-        > "$SMOKE_DIR/perfbench.out"
-    if ! tail -n 1 "$SMOKE_DIR/perfbench.out" | grep -q '"correct": true'; then
-        echo "ERROR: repro-timing seed 0 no longer matches the pinned timing digest" >&2
-        tail -n 1 "$SMOKE_DIR/perfbench.out" >&2
-        exit 1
-    fi
-    echo "perfbench: repro-timing seed 0 matches the pinned digest"
+    for workload in repro-predict repro-timing; do
+        bash perfbench/run.sh --workload "$workload" --seed 0 --seconds 2 --trace 0 \
+            > "$SMOKE_DIR/perfbench.out"
+        if ! tail -n 1 "$SMOKE_DIR/perfbench.out" | grep -q '"correct": true'; then
+            echo "ERROR: $workload seed 0 no longer matches its pinned digest" >&2
+            tail -n 1 "$SMOKE_DIR/perfbench.out" >&2
+            exit 1
+        fi
+        echo "perfbench: $workload seed 0 matches the pinned digest"
+    done
 
     step "hermeticity: no external crates in any manifest"
     if grep -rn 'rand\|proptest\|criterion' Cargo.toml crates/*/Cargo.toml | grep -v 'cap-rand'; then
@@ -116,17 +118,16 @@ core_gates() {
         exit 1
     fi
 
-    step "deprecated drive wrappers: no callers outside their definition"
-    # The one-release run_* compatibility shims must not regrow callers
-    # before removal; cap-predictor also carries #![deny(deprecated)],
-    # this grep covers the crates that don't.
+    step "removed drive wrappers: no references outside drive.rs"
+    # The run_* free functions were removed in favour of drive::Session;
+    # drive.rs keeps a private Session::run_immediate of the same name.
     if grep -rn 'run_immediate\|run_value_immediate\|run_with_gap\|run_with_wrong_path' \
         crates/*/src crates/*/tests crates/*/benches crates/*/examples 2>/dev/null \
         | grep -v '^crates/cap-predictor/src/drive.rs:'; then
-        echo "ERROR: a caller of the deprecated drive::run_* wrappers crept back in" >&2
+        echo "ERROR: a reference to the removed drive::run_* wrappers crept back in" >&2
         exit 1
     fi
-    echo "deprecated-wrapper grep: clean"
+    echo "removed-wrapper grep: clean"
 }
 
 # The service gate: chaos soak (seeded, bounded), graceful-shutdown

@@ -32,6 +32,68 @@ fn gapped_runs_are_reproducible() {
     assert_eq!(run(), run());
 }
 
+/// Fig 5 predictor statistics pinned as `(loads, predictions,
+/// spec_accesses, correct_spec)` for stride, CAP and hybrid at immediate
+/// update, and for the pipelined hybrid at an 8-instruction gap.
+#[test]
+fn prediction_stats_are_pinned() {
+    type Pin = (u64, u64, u64, u64);
+    let pins: [(&TraceSpec, [Pin; 4]); 3] = [
+        (
+            &Suite::Int.traces()[0],
+            [
+                (20_000, 19_560, 10_396, 10_380),
+                (20_000, 13_709, 12_805, 12_682),
+                (20_000, 19_560, 14_413, 14_287),
+                (20_000, 19_524, 10_340, 10_221),
+            ],
+        ),
+        (
+            &Suite::Gam.traces()[0],
+            [
+                (20_000, 19_518, 10_911, 10_901),
+                (20_000, 11_753, 10_952, 10_840),
+                (20_000, 19_518, 13_449, 13_336),
+                (20_000, 19_499, 10_820, 10_731),
+            ],
+        ),
+        (
+            &Suite::Tpc.traces()[0],
+            [
+                (20_007, 15_599, 7_609, 7_594),
+                (20_007, 9_295, 8_084, 8_014),
+                (20_007, 15_599, 10_718, 10_646),
+                (20_007, 15_570, 8_192, 8_035),
+            ],
+        ),
+    ];
+    for (spec, want) in pins {
+        let trace = spec.generate(20_000);
+        let mut runs = Vec::new();
+        for factory in [
+            PredictorFactory::enhanced_stride(),
+            PredictorFactory::cap(),
+            PredictorFactory::hybrid(),
+        ] {
+            let stats = Session::new(factory.build().as_mut()).run(&trace);
+            runs.push((factory.name, stats));
+        }
+        let mut p = HybridPredictor::new(HybridConfig::paper_pipelined());
+        runs.push((
+            "hybrid gap 8".into(),
+            Session::new(&mut p).gap(8).run(&trace),
+        ));
+        for ((name, s), pin) in runs.into_iter().zip(want) {
+            assert_eq!(
+                (s.loads, s.predictions, s.spec_accesses, s.correct_spec),
+                pin,
+                "{} {name}",
+                spec.name
+            );
+        }
+    }
+}
+
 #[test]
 fn timing_simulation_is_reproducible() {
     let trace = Suite::Jav.traces()[0].generate(5_000);
