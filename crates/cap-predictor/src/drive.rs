@@ -71,14 +71,17 @@ impl Restorable for ControlState {
     }
 }
 
-/// One in-flight load awaiting resolution in the gap pipeline.
+/// One predicted load awaiting resolution in the gap pipeline.
 #[derive(Debug)]
-struct Pending {
-    ctx: LoadContext,
-    pred: Prediction,
-    actual: u64,
+pub struct Pending {
+    /// The context the load was predicted with.
+    pub ctx: LoadContext,
+    /// The prediction made for it.
+    pub pred: Prediction,
+    /// The address (or value) the load really had.
+    pub actual: u64,
     /// Index (in dynamic instructions) at which the load was predicted.
-    seq: u64,
+    pub seq: u64,
 }
 
 /// The §5 gap pipeline: predictions whose table update waits until `gap`
@@ -88,7 +91,8 @@ struct Pending {
 /// entry, so when a load is predicted the pipe holds fewer than `gap`
 /// entries. Its in-flight count ([`LoadContext::pending`]) is therefore
 /// read straight from the pipe: a short scan that cannot drift from what
-/// is actually pending.
+/// is actually pending. At gap 0 the pipe stays empty: [`GapPipe::push`]
+/// resolves the load on the spot.
 #[derive(Debug)]
 pub struct GapPipe {
     gap: u64,
@@ -111,14 +115,32 @@ impl GapPipe {
         self.pending.iter().filter(|p| p.ctx.ip == ip).count() as u32
     }
 
-    /// Queues the resolution of a load predicted at instruction `seq`.
-    pub fn push(&mut self, ctx: LoadContext, pred: Prediction, actual: u64, seq: u64) {
-        self.pending.push_back(Pending {
-            ctx,
-            pred,
-            actual,
-            seq,
-        });
+    /// Queues the resolution of a predicted load. At gap 0 it resolves
+    /// at once instead, as [`GapPipe::drain`] would: the next
+    /// instruction's drain comes before anything else touches the
+    /// predictor, so the order of updates is the same.
+    pub fn push<P: AddressPredictor + ?Sized>(
+        &mut self,
+        load: Pending,
+        predictor: &mut P,
+        stats: &mut PredictorStats,
+        obs: &Obs,
+    ) {
+        if self.gap == 0 {
+            Self::resolve(&load, predictor, stats, obs);
+        } else {
+            self.pending.push_back(load);
+        }
+    }
+
+    fn resolve<P: AddressPredictor + ?Sized>(
+        load: &Pending,
+        predictor: &mut P,
+        stats: &mut PredictorStats,
+        obs: &Obs,
+    ) {
+        predictor.update(&load.ctx, load.actual, &load.pred);
+        stats.record_with(&load.pred, load.actual, obs);
     }
 
     /// Resolves, oldest first, every load whose gap has elapsed by
@@ -136,8 +158,7 @@ impl GapPipe {
             .pending
             .pop_front_if(|p| p.seq.saturating_add(gap) <= seq)
         {
-            predictor.update(&p.ctx, p.actual, &p.pred);
-            stats.record_with(&p.pred, p.actual, obs);
+            Self::resolve(&p, predictor, stats, obs);
         }
     }
 }
@@ -329,7 +350,13 @@ impl<'p, P: AddressPredictor + ?Sized> Session<'p, P> {
                 TraceEvent::Load(load) => {
                     let ctx = self.context_of(load, &control, pipe.in_flight(load.ip));
                     let pred = self.predictor.predict(&ctx);
-                    pipe.push(ctx, pred, self.actual_of(load), seq);
+                    let resolution = Pending {
+                        ctx,
+                        pred,
+                        actual: self.actual_of(load),
+                        seq,
+                    };
+                    pipe.push(resolution, self.predictor, &mut stats, &self.obs);
                 }
                 TraceEvent::Branch(b) => {
                     control.on_branch(b.ip, b.taken, b.kind);

@@ -228,13 +228,6 @@ impl BackendKind {
             .ok_or_else(|| BackendParseError { input: s.to_owned() })
     }
 
-    /// Parses a CLI/wire name.
-    #[deprecated(since = "0.2.0", note = "use BackendKind::parse, which reports valid names")]
-    #[must_use]
-    pub fn parse_opt(s: &str) -> Option<Self> {
-        Self::parse(s).ok()
-    }
-
     /// Snapshot tag.
     #[must_use]
     pub fn tag(self) -> u8 {
@@ -317,13 +310,6 @@ mod tests {
             assert!(msg.contains(d.name), "error message must list '{}'", d.name);
         }
         assert_eq!(BackendKind::from_tag(200), None);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_option_shim_still_parses() {
-        assert_eq!(BackendKind::parse_opt("hybrid"), Some(BackendKind::Hybrid));
-        assert_eq!(BackendKind::parse_opt("nope"), None);
     }
 
     #[test]

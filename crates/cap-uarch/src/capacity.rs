@@ -2,9 +2,12 @@
 //!
 //! The timing model assigns each instruction timestamps (fetch, dispatch,
 //! issue, complete, commit) subject to structural limits: fetch width,
-//! dispatch width, functional units, cache ports, commit width. A
-//! [`SlotTracker`] answers "what is the first cycle at or after `t` with a
-//! free slot?" and books it.
+//! dispatch width, functional units, cache ports, commit width. Both
+//! trackers here answer "what is the first cycle at or after `t` with a
+//! free slot?" and book it. [`SlotTracker`] serves requests in any order
+//! (issue to the ALUs and cache ports); [`InOrderSlots`] serves the
+//! in-order stages (fetch, dispatch, commit), whose requests never go
+//! backwards, in O(1) with no window at all.
 
 /// One cycle of a [`SlotTracker`] window.
 #[derive(Debug, Clone, Copy, Default)]
@@ -47,11 +50,6 @@ pub struct SlotTracker {
 }
 
 impl SlotTracker {
-    /// A restored booking may sit at most this many cycles above the
-    /// frontier; anything further is a corrupt payload, not a window to
-    /// allocate.
-    const MAX_SPAN: u64 = 1 << 24;
-
     /// Creates a tracker with `width` slots per cycle.
     ///
     /// # Panics
@@ -125,64 +123,200 @@ impl SlotTracker {
     }
 }
 
+/// Books up to `width` events per cycle for a stream whose requests,
+/// once floored to the frontier, never decrease.
+///
+/// First-fit on such a stream leaves every cycle between the latest
+/// request and the latest booking full, so the only booking that can
+/// still take an event is the latest one: the state is that cycle and
+/// its use count. Every call returns exactly what a [`SlotTracker`] fed
+/// the same stream would, in O(1). Debug builds assert that requests do
+/// not go backwards.
+///
+/// # Examples
+///
+/// ```
+/// use cap_uarch::capacity::InOrderSlots;
+/// let mut commit = InOrderSlots::new(2);
+/// assert_eq!(commit.alloc(10), 10);
+/// assert_eq!(commit.alloc(10), 10);
+/// assert_eq!(commit.alloc(10), 11, "third commit spills to the next cycle");
+/// assert_eq!(commit.alloc(20), 20);
+/// ```
+#[derive(Debug, Clone)]
+pub struct InOrderSlots {
+    width: u32,
+    /// Requests below this bound are floored to it.
+    frontier: u64,
+    /// The latest booked cycle; meaningless while `used == 0`.
+    last: u64,
+    /// Bookings in `last`; `0` once nothing at or above the frontier is
+    /// booked.
+    used: u32,
+    /// The latest floored request, to catch out-of-order use.
+    #[cfg(debug_assertions)]
+    request: u64,
+}
+
+impl InOrderSlots {
+    /// Creates a tracker with `width` slots per cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0`.
+    #[must_use]
+    pub fn new(width: u32) -> Self {
+        assert!(width > 0, "width must be positive");
+        Self::with_booking(width, 0, 0, 0)
+    }
+
+    fn with_booking(width: u32, frontier: u64, last: u64, used: u32) -> Self {
+        Self {
+            width,
+            frontier,
+            last,
+            used,
+            #[cfg(debug_assertions)]
+            request: frontier,
+        }
+    }
+
+    /// Books one slot at the first cycle `>= max(at, frontier)` with spare
+    /// capacity and returns that cycle.
+    pub fn alloc(&mut self, at: u64) -> u64 {
+        let at = at.max(self.frontier);
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                at >= self.request,
+                "in-order request {at} below the previous request {}",
+                self.request
+            );
+            self.request = at;
+        }
+        if self.used == 0 || at > self.last {
+            self.last = at;
+            self.used = 1;
+        } else if self.used < self.width {
+            self.used += 1;
+        } else {
+            self.last += 1;
+            self.used = 1;
+        }
+        self.last
+    }
+
+    /// Declares that no future request will target a cycle below `bound`,
+    /// discarding the bookings there.
+    pub fn retire_below(&mut self, bound: u64) {
+        if bound > self.frontier {
+            self.frontier = bound;
+            if bound > self.last {
+                self.used = 0;
+            }
+        }
+    }
+}
+
 use cap_snapshot::{Restorable, SectionReader, SectionWriter, Snapshot, SnapshotError};
+
+/// A restored booking may sit at most this many cycles above the
+/// frontier; anything further is a corrupt payload, not a window to
+/// allocate.
+const MAX_SPAN: u64 = 1 << 24;
+
+/// Both trackers share one section layout: `width, frontier, count`, then
+/// `count` ascending `(cycle, used)` bookings.
+fn write_bookings(
+    w: &mut SectionWriter,
+    width: u32,
+    frontier: u64,
+    bookings: impl Iterator<Item = (u64, u32)> + Clone,
+) {
+    w.put_u32(width);
+    w.put_u64(frontier);
+    w.put_len(bookings.clone().count());
+    for (cycle, used) in bookings {
+        w.put_u64(cycle);
+        w.put_u32(used);
+    }
+}
+
+/// The shared layout, decoded and validated.
+struct Decoded {
+    width: u32,
+    frontier: u64,
+    /// Bookings at or above the frontier, ascending, as `(offset from
+    /// frontier, used)`.
+    bookings: Vec<(usize, u32)>,
+}
+
+fn read_bookings(r: &mut SectionReader<'_>) -> Result<Decoded, SnapshotError> {
+    let width = r.take_u32("slot tracker width")?;
+    if width == 0 {
+        return Err(r.bad_value("slot tracker width is zero".to_string()));
+    }
+    let frontier = r.take_u64("slot tracker frontier")?;
+    let len = r.take_len(12, "slot tracker booking count")?;
+    let mut bookings = Vec::with_capacity(len);
+    let mut previous = None;
+    for _ in 0..len {
+        let cycle = r.take_u64("slot tracker cycle")?;
+        let used = r.take_u32("slot tracker booking")?;
+        if previous.is_some_and(|p| cycle <= p) {
+            return Err(r.bad_value(format!(
+                "slot tracker cycle {cycle} not above the previous booking"
+            )));
+        }
+        previous = Some(cycle);
+        if used == 0 || used > width {
+            return Err(r.bad_value(format!(
+                "slot tracker books {used} slots in a {width}-wide cycle"
+            )));
+        }
+        // Older encodings kept bookings below the frontier until a
+        // prune; no request can reach them, so they are dropped.
+        let Some(offset) = cycle.checked_sub(frontier) else {
+            continue;
+        };
+        if offset >= MAX_SPAN {
+            return Err(SnapshotError::WidthOverflow {
+                section: r.section().to_string(),
+                what: "slot tracker booking span",
+                value: offset,
+                limit: MAX_SPAN,
+            });
+        }
+        bookings.push((offset as usize, used));
+    }
+    Ok(Decoded {
+        width,
+        frontier,
+        bookings,
+    })
+}
 
 impl Snapshot for SlotTracker {
     fn write_state(&self, w: &mut SectionWriter) {
-        w.put_u32(self.width);
-        w.put_u64(self.frontier);
-        let booked = || {
-            (self.frontier..)
-                .zip(&self.window)
-                .filter(|(_, slot)| slot.used > 0)
-        };
-        w.put_len(booked().count());
-        for (cycle, slot) in booked() {
-            w.put_u64(cycle);
-            w.put_u32(slot.used);
-        }
+        let booked = (self.frontier..)
+            .zip(&self.window)
+            .filter(|(_, slot)| slot.used > 0)
+            .map(|(cycle, slot)| (cycle, slot.used));
+        write_bookings(w, self.width, self.frontier, booked);
     }
 }
 
 impl Restorable for SlotTracker {
     fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        let width = r.take_u32("slot tracker width")?;
-        if width == 0 {
-            return Err(r.bad_value("slot tracker width is zero".to_string()));
-        }
-        let frontier = r.take_u64("slot tracker frontier")?;
-        let len = r.take_len(12, "slot tracker booking count")?;
+        let Decoded {
+            width,
+            frontier,
+            bookings,
+        } = read_bookings(r)?;
         let mut window = Vec::new();
-        let mut previous = None;
-        for _ in 0..len {
-            let cycle = r.take_u64("slot tracker cycle")?;
-            let used = r.take_u32("slot tracker booking")?;
-            if previous.is_some_and(|p| cycle <= p) {
-                return Err(r.bad_value(format!(
-                    "slot tracker cycle {cycle} not above the previous booking"
-                )));
-            }
-            previous = Some(cycle);
-            if used == 0 || used > width {
-                return Err(r.bad_value(format!(
-                    "slot tracker books {used} slots in a {width}-wide cycle"
-                )));
-            }
-            // Older encodings kept bookings below the frontier until a
-            // prune; no request can reach them, so they are dropped.
-            let Some(offset) = cycle.checked_sub(frontier) else {
-                continue;
-            };
-            if offset >= Self::MAX_SPAN {
-                return Err(SnapshotError::WidthOverflow {
-                    section: r.section().to_string(),
-                    what: "slot tracker booking span",
-                    value: offset,
-                    limit: Self::MAX_SPAN,
-                });
-            }
+        for (offset, used) in bookings {
             // Ascending cycles: this one lies at or past the window's end.
-            window.resize(offset as usize, Slot::default());
+            window.resize(offset, Slot::default());
             window.push(Slot {
                 used,
                 skip: u32::from(used == width),
@@ -193,6 +327,26 @@ impl Restorable for SlotTracker {
             frontier,
             window,
         })
+    }
+}
+
+impl Snapshot for InOrderSlots {
+    fn write_state(&self, w: &mut SectionWriter) {
+        let booked = (self.used > 0).then_some((self.last, self.used));
+        write_bookings(w, self.width, self.frontier, booked.into_iter());
+    }
+}
+
+impl Restorable for InOrderSlots {
+    /// Also accepts a [`SlotTracker`] payload with several bookings (the
+    /// encoding these stages had before they became cursors): of a
+    /// monotone stream's bookings only the highest can still take an
+    /// event, so it alone is kept.
+    fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+        let d = read_bookings(r)?;
+        let (offset, used) = d.bookings.last().copied().unwrap_or((0, 0));
+        let last = d.frontier + offset as u64;
+        Ok(Self::with_booking(d.width, d.frontier, last, used))
     }
 }
 
@@ -246,5 +400,20 @@ mod tests {
     #[should_panic(expected = "width must be positive")]
     fn zero_width_rejected() {
         let _ = SlotTracker::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "width must be positive")]
+    fn in_order_zero_width_rejected() {
+        let _ = InOrderSlots::new(0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "below the previous request")]
+    fn in_order_slots_reject_a_request_going_backwards() {
+        let mut t = InOrderSlots::new(2);
+        t.alloc(10);
+        t.alloc(9);
     }
 }

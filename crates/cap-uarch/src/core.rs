@@ -8,8 +8,12 @@
 //!
 //! Each dynamic instruction is assigned fetch → dispatch → issue →
 //! complete → commit timestamps subject to data dependences (through the
-//! architectural registers carried by the trace) and structural capacity
-//! ([`crate::capacity::SlotTracker`]). This interval-style model captures
+//! architectural registers carried by the trace) and structural capacity.
+//! Fetch, dispatch and commit happen in program order, so their requests
+//! never go backwards and each books through an O(1)
+//! [`crate::capacity::InOrderSlots`] cursor; issue to the ALUs and cache
+//! ports is out of order and books through a
+//! [`crate::capacity::SlotTracker`] window. This interval-style model captures
 //! what the speedup figures measure — how much load-to-use latency the
 //! address predictor removes from critical paths — without simulating
 //! wrong-path instructions. Wrong-path *address predictor updates* (§5.4)
@@ -39,11 +43,11 @@
 
 use crate::branch::{BranchPredictor, HybridBranchPredictor};
 use crate::cache::CacheConfig;
-use crate::capacity::SlotTracker;
+use crate::capacity::{InOrderSlots, SlotTracker};
 use crate::hierarchy::{LatencyConfig, MemoryHierarchy};
 use crate::names;
 use cap_obs::Obs;
-use cap_predictor::drive::{ControlState, GapPipe};
+use cap_predictor::drive::{ControlState, GapPipe, Pending};
 use cap_predictor::metrics::PredictorStats;
 use cap_predictor::types::{AddressPredictor, LoadContext};
 use cap_trace::{RegId, Trace, TraceEvent};
@@ -150,9 +154,9 @@ pub struct OooCore {
     config: CoreConfig,
     mem: MemoryHierarchy,
     branch: HybridBranchPredictor,
-    fetch_slots: SlotTracker,
-    dispatch_slots: SlotTracker,
-    commit_slots: SlotTracker,
+    fetch_slots: InOrderSlots,
+    dispatch_slots: InOrderSlots,
+    commit_slots: InOrderSlots,
     alu: SlotTracker,
     ports: SlotTracker,
     reg_ready: [u64; RegId::COUNT],
@@ -173,9 +177,9 @@ impl OooCore {
         Self {
             mem: MemoryHierarchy::new(config.l1, config.l2, config.latency),
             branch: HybridBranchPredictor::paper_default(),
-            fetch_slots: SlotTracker::new(config.width),
-            dispatch_slots: SlotTracker::new(config.width),
-            commit_slots: SlotTracker::new(config.width),
+            fetch_slots: InOrderSlots::new(config.width),
+            dispatch_slots: InOrderSlots::new(config.width),
+            commit_slots: InOrderSlots::new(config.width),
             alu: SlotTracker::new(config.alu_units),
             ports: SlotTracker::new(config.mem_ports),
             reg_ready: [0; RegId::COUNT],
@@ -303,7 +307,13 @@ impl OooCore {
                                 pending: pipe.in_flight(load.ip),
                             };
                             let pred = p.predict(&ctx);
-                            pipe.push(ctx, pred, load.addr, seq);
+                            let resolution = Pending {
+                                ctx,
+                                pred,
+                                actual: load.addr,
+                                seq,
+                            };
+                            pipe.push(resolution, p, &mut self.stats.pred, &self.obs);
                             Some(pred)
                         }
                         None => None,
@@ -533,9 +543,9 @@ impl Restorable for OooCore {
         let config = CoreConfig::read_state(r)?;
         let mem = MemoryHierarchy::read_state(r)?;
         let branch = HybridBranchPredictor::read_state(r)?;
-        let fetch_slots = SlotTracker::read_state(r)?;
-        let dispatch_slots = SlotTracker::read_state(r)?;
-        let commit_slots = SlotTracker::read_state(r)?;
+        let fetch_slots = InOrderSlots::read_state(r)?;
+        let dispatch_slots = InOrderSlots::read_state(r)?;
+        let commit_slots = InOrderSlots::read_state(r)?;
         let alu = SlotTracker::read_state(r)?;
         let ports = SlotTracker::read_state(r)?;
         let mut reg_ready = [0u64; RegId::COUNT];
@@ -550,6 +560,14 @@ impl Restorable for OooCore {
             store_ready.insert(word, ready);
         }
         let ring_len = r.take_len(8, "commit ring length")?;
+        // `run` pops at most one entry per instruction, so a longer ring
+        // would never shrink and would silently model a bigger ROB.
+        if ring_len > config.rob_entries {
+            return Err(r.bad_value(format!(
+                "commit ring holds {ring_len} entries for a {}-entry ROB",
+                config.rob_entries
+            )));
+        }
         let mut commit_ring = VecDeque::with_capacity(ring_len);
         for _ in 0..ring_len {
             commit_ring.push_back(r.take_u64("commit time")?);

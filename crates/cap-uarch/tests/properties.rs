@@ -10,7 +10,7 @@ use cap_rand::{Rng, SeedableRng};
 use cap_snapshot::{Restorable, Snapshot};
 use cap_trace::builder::TraceBuilder;
 use cap_trace::record::OpLatency;
-use cap_uarch::capacity::SlotTracker;
+use cap_uarch::capacity::{InOrderSlots, SlotTracker};
 use cap_uarch::core::{run_trace, CoreConfig};
 use cap_uarch::prelude::*;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -107,6 +107,85 @@ fn slot_tracker_matches_reference_model() {
                 tracker = SlotTracker::from_payload(&tracker.to_payload(), "slots")
                     .expect("own payload restores");
             }
+        }
+    });
+}
+
+/// The next request of a non-decreasing stream: mostly repeats and small
+/// steps (so cycles fill and spill), sometimes a large jump.
+fn next_in_order(rng: &mut StdRng, at: u64) -> u64 {
+    at + match rng.gen_range(0u8..10) {
+        0..=4 => 0,
+        5..=8 => rng.gen_range(1..4),
+        _ => rng.gen_range(100..20_000),
+    }
+}
+
+/// `InOrderSlots` returns exactly `SlotTracker`'s cycle for every request
+/// of a non-decreasing stream, across widths 1–8, retirements below and
+/// above the latest booking, and snapshot round-trips.
+#[test]
+fn in_order_slots_match_slot_tracker() {
+    check::run("in_order_slots_match_slot_tracker", |rng| {
+        let width = rng.gen_range(1u32..=8);
+        let mut cursor = InOrderSlots::new(width);
+        let mut reference = SlotTracker::new(width);
+        let (mut at, mut last, mut frontier) = (0u64, 0u64, 0u64);
+        for step in 0..rng.gen_range(1usize..2_000) {
+            if step % 37 == 0 {
+                let payload = cursor.to_payload();
+                cursor =
+                    InOrderSlots::from_payload(&payload, "slots").expect("own payload restores");
+                assert_eq!(cursor.to_payload(), payload, "re-encoding is canonical");
+            }
+            if rng.gen_range(0u8..12) == 0 {
+                let bound = match rng.gen_range(0u8..3) {
+                    0 => rng.gen_range(frontier..=last.max(frontier)),
+                    1 => last + rng.gen_range(1..50),
+                    _ => frontier.saturating_sub(rng.gen_range(0..10)),
+                };
+                cursor.retire_below(bound);
+                reference.retire_below(bound);
+                frontier = frontier.max(bound);
+                continue;
+            }
+            at = next_in_order(rng, at);
+            let got = cursor.alloc(at);
+            assert_eq!(
+                got,
+                reference.alloc(at),
+                "width {width}, step {step}, request {at}"
+            );
+            last = got;
+        }
+    });
+}
+
+/// An `InOrderSlots` restored from a `SlotTracker` payload of a
+/// non-decreasing stream (the encoding the in-order stages used to have,
+/// with several bookings) continues exactly as the tracker does.
+#[test]
+fn in_order_slots_restore_slot_tracker_payload() {
+    check::run("in_order_slots_restore_slot_tracker_payload", |rng| {
+        let width = rng.gen_range(1u32..=8);
+        let mut reference = SlotTracker::new(width);
+        let mut at = 0u64;
+        for _ in 0..rng.gen_range(1usize..300) {
+            at = next_in_order(rng, at);
+            reference.alloc(at);
+        }
+        if rng.gen::<bool>() {
+            reference.retire_below(at.saturating_sub(rng.gen_range(0..3)));
+        }
+        let mut cursor = InOrderSlots::from_payload(&reference.to_payload(), "slots")
+            .expect("tracker payload restores as a cursor");
+        for step in 0..rng.gen_range(1usize..300) {
+            at = next_in_order(rng, at);
+            assert_eq!(
+                cursor.alloc(at),
+                reference.alloc(at),
+                "width {width}, step {step}, request {at}"
+            );
         }
     });
 }

@@ -82,6 +82,27 @@ fn hostile_core_payload_never_panics() {
     }
 }
 
+#[test]
+fn core_rejects_commit_ring_longer_than_rob() {
+    // A full run leaves a 128-entry commit ring; the ROB size sits right
+    // after the `u32` width at the start of the payload.
+    let (first, _) = traces();
+    let mut core = OooCore::new(CoreConfig::paper_default());
+    core.run(&first, None, 0);
+    let payload = core.to_payload();
+    let with_rob = |rob: u64| {
+        let mut p = payload.clone();
+        p[4..12].copy_from_slice(&rob.to_le_bytes());
+        OooCore::from_payload(&p, "core")
+    };
+    assert!(with_rob(128).is_ok(), "the ring fits its own ROB");
+    let err = with_rob(127).expect_err("ring longer than the ROB");
+    assert!(
+        matches!(err, SnapshotError::BadValue { .. }),
+        "unexpected error {err:?}"
+    );
+}
+
 /// A slot tracker payload: width, frontier, then `(cycle, bookings)`.
 fn slot_payload(width: u32, frontier: u64, bookings: &[(u64, u32)]) -> Vec<u8> {
     let mut w = SectionWriter::new();

@@ -133,6 +133,60 @@ fn timing_cycles_are_pinned() {
     }
 }
 
+/// The core paths the gap-0 pin above does not reach, pinned as
+/// `(cycles, branch_mispredicts, prefetches, l1_hit_rate bits,
+/// predictions, spec_accesses, correct_spec)`: the pipelined hybrid at an
+/// 8-instruction gap, and the hybrid at gap 0 with stride prefetching on.
+#[test]
+fn gapped_and_prefetch_timing_is_pinned() {
+    type Pin = (u64, u64, u64, u64, u64, u64, u64);
+    let pin = |s: &CoreStats| {
+        (
+            s.cycles,
+            s.branch_mispredicts,
+            s.prefetches,
+            s.l1_hit_rate.to_bits(),
+            s.pred.predictions,
+            s.pred.spec_accesses,
+            s.pred.correct_spec,
+        )
+    };
+    let cases: [(&TraceSpec, Pin, Pin); 2] = [
+        (
+            &Suite::Int.traces()[0],
+            (18_853, 893, 0, 0x3fe8_bd3c_536b_a280, 19_524, 10_340, 10_221),
+            (17_412, 893, 10_397, 0x3feb_2b89_9b81_6bef, 19_560, 14_413, 14_287),
+        ),
+        (
+            &Suite::Tpc.traces()[0],
+            (52_594, 1_572, 0, 0x3fe2_38c6_aa53_fefc, 15_570, 8_192, 8_035),
+            (51_754, 1_572, 7_609, 0x3fe5_ed82_1ba9_e700, 15_599, 10_718, 10_646),
+        ),
+    ];
+    for (spec, gapped, prefetch) in cases {
+        let trace = spec.generate(20_000);
+        let mut p = HybridPredictor::new(HybridConfig::paper_pipelined());
+        let cfg = CoreConfig::paper_default();
+        assert_eq!(
+            pin(&run_trace(&trace, &cfg, Some(&mut p), 8)),
+            gapped,
+            "{} hybrid gap 8",
+            spec.name
+        );
+        let mut p = HybridPredictor::new(HybridConfig::paper_default());
+        let cfg = CoreConfig {
+            prefetch: true,
+            ..CoreConfig::paper_default()
+        };
+        assert_eq!(
+            pin(&run_trace(&trace, &cfg, Some(&mut p), 0)),
+            prefetch,
+            "{} hybrid prefetch",
+            spec.name
+        );
+    }
+}
+
 #[test]
 fn distinct_traces_differ() {
     // Sanity that the catalog isn't returning one canned trace.
