@@ -55,8 +55,7 @@ impl HistorySpec {
     }
 
     /// Splits a folded accumulator of [`HistorySpec::width`] bits into
-    /// Link-Table index and tag — shared by [`HistoryBuffer`] and the
-    /// bit-packed folded registers.
+    /// Link-Table index and tag.
     #[must_use]
     pub fn split(&self, h: u64) -> FoldedHistory {
         FoldedHistory {

@@ -53,7 +53,6 @@ pub mod last_addr;
 pub mod link_table;
 pub mod load_buffer;
 pub mod metrics;
-pub mod packed;
 pub mod profile;
 pub mod stride;
 pub mod types;
@@ -73,7 +72,6 @@ pub mod prelude {
     pub use crate::link_table::{LinkTableConfig, PfMode};
     pub use crate::load_buffer::LoadBufferConfig;
     pub use crate::metrics::PredictorStats;
-    pub use crate::packed::PackedHybridPredictor;
     pub use crate::profile::{LoadClass, LoadClassMap, ProfileGuidedPredictor, Profiler};
     pub use crate::stride::{StrideParams, StridePredictor};
     pub use crate::variable::{VariableHistoryCap, VariableHistoryConfig};

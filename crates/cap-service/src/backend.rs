@@ -16,7 +16,6 @@
 use cap_predictor::cap::{CapConfig, CapPredictor};
 use cap_predictor::hybrid::{HybridConfig, HybridPredictor};
 use cap_predictor::load_buffer::LoadBufferConfig;
-use cap_predictor::packed::PackedHybridPredictor;
 use cap_predictor::stride::{StrideParams, StridePredictor};
 use cap_predictor::types::SharedPredictor;
 use cap_snapshot::{Restorable, SectionReader, SnapshotError};
@@ -34,10 +33,6 @@ pub enum BackendKind {
     Cap,
     /// Enhanced stride (§3.2).
     Stride,
-    /// The hybrid on the bit-packed flat tables — behaviourally
-    /// identical to [`BackendKind::Hybrid`], with a batch predict fast
-    /// path and no allocation on the predict path.
-    PackedHybrid,
     /// Stride addresses + per-PC cache-level prediction against the
     /// `cap-uarch` hierarchy model (Jalili & Erez).
     CacheLevel,
@@ -90,10 +85,6 @@ fn build_stride() -> Box<dyn SharedPredictor> {
     ))
 }
 
-fn build_packed_hybrid() -> Box<dyn SharedPredictor> {
-    Box::new(PackedHybridPredictor::new(HybridConfig::paper_default()))
-}
-
 fn build_cache_level() -> Box<dyn SharedPredictor> {
     Box::new(CacheLevelPredictor::new(CacheLevelConfig::paper_default()))
 }
@@ -136,13 +127,6 @@ pub static BACKEND_REGISTRY: &[BackendDescriptor] = &[
         restore: restore_boxed::<StridePredictor>,
     },
     BackendDescriptor {
-        kind: BackendKind::PackedHybrid,
-        name: "packed-hybrid",
-        tag: 3,
-        build: build_packed_hybrid,
-        restore: restore_boxed::<PackedHybridPredictor>,
-    },
-    BackendDescriptor {
         kind: BackendKind::CacheLevel,
         name: "cache-level",
         tag: 4,
@@ -165,6 +149,21 @@ pub static BACKEND_REGISTRY: &[BackendDescriptor] = &[
     },
 ];
 
+/// Backends that were once registered, as `(snapshot tag, name)`. A
+/// retired tag or name is never reused by a live row, so an old
+/// snapshot or command line naming one fails with a message that says
+/// what it was rather than "unknown".
+pub static RETIRED_BACKENDS: &[(u8, &str)] = &[(3, "packed-hybrid")];
+
+/// The retired backend that held snapshot tag `tag`, if any.
+#[must_use]
+pub fn retired_name_for_tag(tag: u8) -> Option<&'static str> {
+    RETIRED_BACKENDS
+        .iter()
+        .find(|&&(t, _)| t == tag)
+        .map(|&(_, name)| name)
+}
+
 /// A backend name that matched nothing in [`BACKEND_REGISTRY`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BackendParseError {
@@ -181,12 +180,18 @@ impl BackendParseError {
 
 impl fmt::Display for BackendParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown backend '{}' (valid backends: {})",
-            self.input,
-            registered_names().join(", ")
-        )
+        let valid = registered_names().join(", ");
+        match RETIRED_BACKENDS
+            .iter()
+            .find(|(_, name)| name.eq_ignore_ascii_case(&self.input))
+        {
+            Some((_, name)) => write!(f, "backend '{name}' is retired (valid backends: {valid})"),
+            None => write!(
+                f,
+                "unknown backend '{}' (valid backends: {valid})",
+                self.input
+            ),
+        }
     }
 }
 
@@ -282,6 +287,13 @@ mod tests {
                     b.name
                 );
             }
+            for &(tag, name) in RETIRED_BACKENDS {
+                assert_ne!(a.tag, tag, "{} reuses retired tag {tag} ('{name}')", a.name);
+                assert!(
+                    !a.name.eq_ignore_ascii_case(name),
+                    "live row reuses retired name '{name}'"
+                );
+            }
         }
     }
 
@@ -310,6 +322,19 @@ mod tests {
             assert!(msg.contains(d.name), "error message must list '{}'", d.name);
         }
         assert_eq!(BackendKind::from_tag(200), None);
+    }
+
+    #[test]
+    fn retired_backends_parse_and_decode_to_named_errors() {
+        for &(tag, name) in RETIRED_BACKENDS {
+            assert_eq!(BackendKind::from_tag(tag), None);
+            assert_eq!(retired_name_for_tag(tag), Some(name));
+            let err = BackendKind::parse(name).expect_err("retired name");
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("'{name}' is retired")), "{msg}");
+            assert!(msg.contains("hybrid"), "lists the live names: {msg}");
+        }
+        assert_eq!(retired_name_for_tag(0), None);
     }
 
     #[test]

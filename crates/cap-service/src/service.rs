@@ -783,9 +783,9 @@ impl Worker {
         env.deadline.is_none() && matches!(env.job, Job::Serve(Request::Predict { .. }))
     }
 
-    /// Serves a run of deadline-free predict-only envelopes through one
-    /// `predict_batch` call on the active rung — one rung decision, one
-    /// breaker charge, one sandbox, N replies. Each envelope still gets
+    /// Serves a run of deadline-free predict-only envelopes on the active
+    /// rung, predicting each in turn inside one sandbox — one rung
+    /// decision, one breaker charge, N replies. Each envelope still gets
     /// exactly one reply.
     fn serve_predict_batch(&mut self, batch: Vec<Envelope>) {
         let now = Instant::now();
@@ -816,18 +816,16 @@ impl Worker {
             rung => {
                 let slot = &mut self.slots[if rung == Rung::StrideOnly { 1 } else { 0 }];
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    let mut out = Vec::with_capacity(ctxs.len());
-                    slot.backend.predict_batch(&ctxs, &mut out);
-                    out
+                    ctxs.iter()
+                        .map(|ctx| slot.backend.predict(ctx))
+                        .collect::<Vec<_>>()
                 }));
                 match result {
-                    Ok(out) if out.len() == ctxs.len() => {
+                    Ok(out) => {
                         slot.breaker.on_success(now);
                         Some(out)
                     }
-                    // A short answer is a backend bug; treat it like a
-                    // panic so every caller still gets a reply.
-                    Ok(_) | Err(_) => {
+                    Err(_) => {
                         slot.breaker.on_failure(now);
                         None
                     }
@@ -887,7 +885,7 @@ impl Worker {
 
             // Batch fast path: a run of deadline-free predict-only
             // requests at the queue head drains through one
-            // `predict_batch` call. Chaos and drain mode fall back to
+            // `serve_predict_batch` call. Chaos and drain mode fall back to
             // the scalar path, whose per-request bookkeeping they need.
             let env = if Self::batchable(&env)
                 && pending.is_empty()
@@ -1279,11 +1277,17 @@ fn decode_service_snapshot(
     meta.finish().map_err(|e| bad(&e))?;
     let kind_for_tag = |tag: u8, what: &str| {
         BackendKind::from_tag(tag).ok_or_else(|| {
-            ServiceError::BadSnapshot(format!(
-                "snapshot {what} backend tag {tag} is not registered \
-                 (registered backends: {})",
-                crate::backend::registered_names().join(", ")
-            ))
+            let registered = crate::backend::registered_names().join(", ");
+            ServiceError::BadSnapshot(match crate::backend::retired_name_for_tag(tag) {
+                Some(name) => format!(
+                    "snapshot {what} backend tag {tag} is the retired '{name}' backend \
+                     (registered backends: {registered})"
+                ),
+                None => format!(
+                    "snapshot {what} backend tag {tag} is not registered \
+                     (registered backends: {registered})"
+                ),
+            })
         })
     };
     let primary = kind_for_tag(primary_tag, "primary")?;
@@ -1528,6 +1532,50 @@ mod tests {
     }
 
     #[test]
+    fn retired_backend_tag_degrades_to_cold_start_naming_it() {
+        let registry = Arc::new(cap_obs::Registry::new());
+        let mut config = small_config();
+        config.obs = registry.obs();
+
+        // A well-formed archive from a real service, re-assembled with
+        // the retired packed-hybrid tag (3) in the primary slot.
+        let donor = Service::start(small_config());
+        let snap = donor.shutdown(Duration::from_millis(100)).snapshot;
+        let archive = SnapshotArchive::parse(&snap).expect("donor snapshot parses");
+        let mut meta = SectionWriter::new();
+        meta.put_u32(SERVICE_SNAPSHOT_VERSION);
+        meta.put_u64(config.workers as u64);
+        meta.put_u8(3);
+        meta.put_u8(config.fallback.tag());
+        let mut b = SnapshotBuilder::new();
+        b.add_raw(SEC_SERVICE, meta.into_bytes());
+        for i in 0..config.workers {
+            let name = worker_section_name(i);
+            b.add_raw(&name, archive.section(&name).expect("worker section").to_vec());
+        }
+        let bytes = b.finish();
+        SnapshotArchive::parse(&bytes).expect("re-assembled snapshot is well-formed");
+
+        // The reason `restore_or_cold` logs is this error's text.
+        match Service::start_restored(config.clone(), &bytes) {
+            Err(ServiceError::BadSnapshot(why)) => assert!(
+                why.contains("backend tag 3 is the retired 'packed-hybrid' backend"),
+                "{why}"
+            ),
+            other => panic!("expected BadSnapshot, got {other:?}"),
+        }
+
+        let (cold, restored) = Service::restore_or_cold(config, Some(&bytes));
+        assert!(!restored);
+        cold.handle().call(observe(0x400, 0x1000), None).unwrap();
+        let _ = cold.shutdown(Duration::from_millis(100));
+        assert_eq!(
+            registry.snapshot().counter(names::SNAPSHOT_DEGRADED_COLD),
+            Some(1)
+        );
+    }
+
+    #[test]
     fn registry_reconciles_with_legacy_stats_views() {
         let registry = Arc::new(cap_obs::Registry::new());
         let mut config = small_config();
@@ -1570,15 +1618,14 @@ mod tests {
     }
 
     #[test]
-    fn predict_floods_drain_in_batches_on_the_packed_backend() {
+    fn predict_floods_drain_in_batches_on_the_default_backend() {
         // Many concurrent deadline-free predicts against one worker: the
         // queue head becomes a run of batchable envelopes, so the worker
-        // drains them through `predict_batch`. The observable contract
-        // stays exactly one valid reply per accepted request.
+        // drains them through `serve_predict_batch`. The observable
+        // contract stays exactly one valid reply per accepted request.
         let config = ServiceConfig {
             workers: 1,
             queue_capacity: 64,
-            primary: BackendKind::PackedHybrid,
             ..ServiceConfig::default()
         };
         let service = Service::start(config);
@@ -1634,8 +1681,8 @@ mod tests {
         assert_eq!(stats.workers[0].served, 900, "100 observes + 800 predicts");
         assert_eq!(
             stats.workers[0].breakers[0].component,
-            "packed-hybrid",
-            "primary slot is the packed backend"
+            "hybrid",
+            "primary slot is the default hybrid backend"
         );
         // Predict-only traffic records no loads.
         assert_eq!(stats.merged_predictor().loads, 100);

@@ -24,11 +24,10 @@
 #            under lying fsyncs, resume bit-identical), a scripted
 #            kill -9 → journal-replay → bit-identity smoke, and the
 #            no-direct-std::fs grep over the checkpoint/journal paths
-#   bench    just the perf-baseline gate: the packed-vs-legacy
-#            differential, then the baseline bench emitting
-#            BENCH_<git-short-sha>.json and diffing it against the
-#            newest prior baseline (>10% single-predict regression
-#            fails)
+#   bench    just the perf-baseline gate: the baseline bench emitting
+#            BENCH_<git-short-sha>.json and diffing the hybrid's
+#            single-predict latency against the newest prior baseline
+#            (>10% regression fails)
 #   backends just the backend-catalog gate: registry round-trip and
 #            per-backend snapshot tests, a grep asserting the registry
 #            in backend.rs is the only `match` on BackendKind, and a
@@ -594,17 +593,13 @@ storage_gate() {
     echo "vfs-seam grep: clean"
 }
 
-# The perf-baseline gate: prove the packed hot path still predicts
-# bit-identically to the legacy structs, then price it. The baseline
+# The perf-baseline gate: price the predict hot path. The baseline
 # bench writes BENCH_<git-short-sha>.json at the repo root (tracked, so
 # every PR extends the perf trajectory); when a prior baseline exists
-# the gate diffs single-predict latency against it and fails on a >10%
-# regression of either the packed or the legacy path.
+# the gate diffs the hybrid's single-predict latency
+# (`single_predict_legacy_ns`, a historical name kept so every committed
+# baseline stays comparable) against it and fails on a >10% regression.
 bench_gate() {
-    step "bench: packed-vs-legacy differential (release)"
-    cargo test -q --offline --release -p cap-predictor --test packed_differential
-    cargo test -q --offline --release -p cap-faults --test packed_surface
-
     step "bench: emit tracked baseline JSON"
     local sha out prev
     sha=$(git rev-parse --short HEAD)
@@ -622,8 +617,7 @@ bench_gate() {
             exit 1
         }
         local key
-        for key in single_predict_legacy_ns single_predict_packed_ns \
-            batch_predict_loads_per_sec journal_append_ns_per_record \
+        for key in single_predict_legacy_ns journal_append_ns_per_record \
             journal_replay_ns_per_record cluster_direct_p50_ns \
             cluster_direct_p99_ns cluster_router_p50_ns \
             cluster_router_p99_ns p50_ns p99_ns \
@@ -636,11 +630,11 @@ bench_gate() {
         echo "baseline written: $out"
     }
 
-    # Returns nonzero if either single-predict latency regressed >10%
-    # vs $prev; prints the comparison either way.
+    # Returns nonzero if single-predict latency regressed >10% vs $prev;
+    # prints the comparison either way.
     diff_baseline() {
         local field old new ok=0
-        for field in single_predict_packed_ns single_predict_legacy_ns; do
+        for field in single_predict_legacy_ns; do
             old=$(sed -n "s/.*\"$field\": \([0-9.]*\).*/\1/p" "$prev")
             new=$(sed -n "s/.*\"$field\": \([0-9.]*\).*/\1/p" "$out")
             if [ -z "$old" ]; then
@@ -717,6 +711,15 @@ backends_gate() {
         cat "$dir/bogus.log" >&2
         exit 1
     }
+    if "${SIMULATE[@]}" serve --backend packed-hybrid > "$dir/retired.log" 2>&1; then
+        echo "ERROR: serve accepted a retired backend" >&2
+        exit 1
+    fi
+    grep -q "backend 'packed-hybrid' is retired" "$dir/retired.log" || {
+        echo "ERROR: a retired backend name was not reported as retired" >&2
+        cat "$dir/retired.log" >&2
+        exit 1
+    }
 
     step "backends: per-backend serve → predict → snapshot → warm restart"
     "${SIMULATE[@]}" gen --out "$dir/trace.txt" --loads 3000
@@ -790,8 +793,8 @@ backends_gate() {
         count=$((count + 1))
         echo "backend smoke [$b]: served, drained, warm restart bit-identical"
     done
-    if [ "$count" -lt 7 ]; then
-        echo "ERROR: expected at least 7 registered backends, smoked $count" >&2
+    if [ "$count" -lt 6 ]; then
+        echo "ERROR: expected at least 6 registered backends, smoked $count" >&2
         exit 1
     fi
     echo "backend smoke: $count backends selectable end-to-end"
