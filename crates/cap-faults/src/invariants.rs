@@ -8,7 +8,7 @@
 
 use crate::target::FaultTarget;
 use cap_predictor::link_table::LinkTable;
-use cap_predictor::load_buffer::LbEntry;
+use cap_predictor::load_buffer::LbWayRef;
 use std::error::Error;
 use std::fmt;
 
@@ -47,7 +47,7 @@ fn violation(target: &'static str, detail: String) -> InvariantViolation {
 /// entries. `offset_bits`/`history_len` come from the owning predictor's
 /// parameters when known; `None` skips the corresponding bound.
 pub(crate) fn check_lb_entries<'a>(
-    entries: impl Iterator<Item = &'a LbEntry>,
+    entries: impl Iterator<Item = LbWayRef<'a>>,
     target: &'static str,
     offset_bits: Option<u32>,
     history_len: Option<usize>,
@@ -84,7 +84,7 @@ pub(crate) fn check_lb_entries<'a>(
             }
         }
         if let Some(len) = history_len {
-            for (name, hist) in [("architectural", &e.history), ("speculative", &e.spec_history)] {
+            for (name, hist) in [("architectural", e.history()), ("speculative", e.spec_history())] {
                 if hist.len() > len {
                     return Err(violation(
                         target,
@@ -165,7 +165,7 @@ mod tests {
         let ctx = LoadContext::new(0x400, 0, 0);
         let pred = p.predict(&ctx);
         p.update(&ctx, 0x1000, &pred);
-        if let Some(e) = p.load_buffer_mut().entries_mut().next() {
+        if let Some(mut e) = p.load_buffer_mut().entries_mut().next() {
             e.selector = 7;
         }
         let err = check_invariants(&p).expect_err("7 is not a 2-bit selector");

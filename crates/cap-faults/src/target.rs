@@ -13,7 +13,7 @@ use crate::plan::{flip_random_bit, FaultKind};
 use cap_predictor::cap::CapPredictor;
 use cap_predictor::hybrid::HybridPredictor;
 use cap_predictor::link_table::LinkTable;
-use cap_predictor::load_buffer::{LbEntry, LoadBuffer, StrideState};
+use cap_predictor::load_buffer::{LbWay, LoadBuffer, StrideState};
 use cap_predictor::stride::StridePredictor;
 use cap_rand::{rngs::StdRng, Rng};
 use cap_uarch::cache_level::{CacheLevelPredictor, LEVEL_MEMORY};
@@ -77,7 +77,7 @@ const FULL_KINDS: [FaultKind; 9] = [
     FaultKind::LtPf,
 ];
 
-fn pick_lb_entry<'a>(lb: &'a mut LoadBuffer, rng: &mut StdRng) -> Option<&'a mut LbEntry> {
+fn pick_lb_entry<'a>(lb: &'a mut LoadBuffer, rng: &mut StdRng) -> Option<LbWay<'a>> {
     let n = lb.occupancy();
     if n == 0 {
         return None;
@@ -94,7 +94,7 @@ pub(crate) fn inject_lb(
     offset_bits: u32,
     rng: &mut StdRng,
 ) -> bool {
-    let Some(entry) = pick_lb_entry(lb, rng) else {
+    let Some(mut entry) = pick_lb_entry(lb, rng) else {
         return false;
     };
     match kind {
@@ -103,10 +103,10 @@ pub(crate) fn inject_lb(
             let bit = rng.gen_range(0..64u32);
             // Prefer the speculative history half the time, falling back to
             // the architectural one when it is empty.
-            if rng.gen_bool(0.5) && entry.spec_history.corrupt_bit(slot, bit) {
+            if rng.gen_bool(0.5) && entry.spec_history_mut().corrupt_bit(slot, bit) {
                 true
             } else {
-                entry.history.corrupt_bit(slot, bit)
+                entry.history_mut().corrupt_bit(slot, bit)
             }
         }
         FaultKind::LbOffset => {

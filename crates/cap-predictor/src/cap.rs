@@ -22,9 +22,9 @@
 //! pending wrong-path instances drain (CAP has no catch-up mechanism).
 
 use crate::confidence::{CfiMode, SaturatingCounter};
-use crate::history::HistorySpec;
+use crate::history::{HistoryBuffer, HistorySpec};
 use crate::link_table::{LinkTable, LinkTableConfig, LtWrite};
-use crate::load_buffer::{LbEntry, LoadBuffer, LoadBufferConfig, LbEntryProto};
+use crate::load_buffer::{HistoryLayout, LbEntryProto, LbWay, LbWayRef, LoadBuffer, LoadBufferConfig};
 use crate::metrics::names;
 use crate::types::{AddressPredictor, LoadContext, PredSource, Prediction, PredictionDetail};
 use cap_obs::Obs;
@@ -92,11 +92,20 @@ impl CapParams {
     pub fn base_of(&self, addr: u64, offset: i32) -> u64 {
         addr.wrapping_sub(u64::from(self.offset_lsb(offset)))
     }
+
+    /// The Load Buffer history slots this component needs per way.
+    #[must_use]
+    pub fn history_layout(&self) -> HistoryLayout {
+        HistoryLayout {
+            length: self.history.length,
+            speculative: self.speculative_history,
+        }
+    }
 }
 
 /// The CAP prediction logic (LT + per-entry fields), operating on a shared
-/// [`LbEntry`]. Standalone ([`CapPredictor`]) and hybrid predictors both
-/// delegate here.
+/// Load Buffer way ([`LbWay`]). Standalone ([`CapPredictor`]) and hybrid
+/// predictors both delegate here.
 #[derive(Debug, Clone)]
 pub struct CapComponent {
     params: CapParams,
@@ -152,12 +161,15 @@ impl CapComponent {
     ///
     /// With speculative history enabled, a successful lookup also rolls the
     /// entry's speculative history forward by the predicted base.
-    pub fn predict(&mut self, entry: &mut LbEntry, ctx: &LoadContext) -> (Option<u64>, bool) {
+    // Inlined (as is `update`) so the way handle stays in registers:
+    // passed through memory it cost a warm hybrid predict ~15%.
+    #[inline]
+    pub fn predict(&mut self, entry: &mut LbWay<'_>, ctx: &LoadContext) -> (Option<u64>, bool) {
         let spec = &self.params.history;
         let hist = if self.params.speculative_history {
-            &entry.spec_history
+            entry.spec_history()
         } else {
-            &entry.history
+            entry.history()
         };
         if !hist.is_warm(spec) {
             return (None, false);
@@ -173,7 +185,7 @@ impl CapComponent {
             || (entry.cap_conf.is_confident()
                 && entry.cap_cfi.allows(self.params.cfi, ctx.ghr));
         if self.params.speculative_history {
-            entry.spec_history.push(link, spec);
+            entry.spec_history_mut().push(link, spec);
         }
         (Some(addr), confident)
     }
@@ -188,9 +200,9 @@ impl CapComponent {
     /// Does not disturb the entry's speculative state: the walk uses a
     /// scratch copy of the history.
     #[must_use]
-    pub(crate) fn predict_ahead(&self, entry: &LbEntry, n: usize) -> Vec<u64> {
+    pub(crate) fn predict_ahead(&self, entry: LbWayRef<'_>, n: usize) -> Vec<u64> {
         let spec = &self.params.history;
-        let mut hist = entry.history.clone();
+        let mut hist = HistoryBuffer::from(entry.history());
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             if !hist.is_warm(spec) {
@@ -212,9 +224,10 @@ impl CapComponent {
     /// (from [`PredictionDetail::cap_addr`]); `speculated` whether a
     /// speculative access was launched with it; `update_lt` implements the
     /// hybrid's LT update policies (§4.3) — standalone CAP passes `true`.
+    #[inline]
     pub fn update(
         &mut self,
-        entry: &mut LbEntry,
+        entry: &mut LbWay<'_>,
         ctx: &LoadContext,
         actual: u64,
         component_pred: Option<u64>,
@@ -252,8 +265,8 @@ impl CapComponent {
 
         // Link the architectural context (the history *before* this
         // instance) to the address that followed it.
-        if update_lt && entry.history.is_warm(&spec) {
-            let folded = entry.history.fold(&spec);
+        if update_lt && entry.history().is_warm(&spec) {
+            let folded = entry.history().fold(&spec);
             let outcome = self.lt.update_outcome(&folded, actual_base);
             if self.obs.enabled() {
                 self.obs.incr(match outcome {
@@ -267,7 +280,7 @@ impl CapComponent {
         }
 
         // Advance the architectural history.
-        entry.history.push(actual_base, &spec);
+        entry.history_mut().push(actual_base, &spec);
 
         // Repair speculative state on a wrong or absent prediction: the
         // speculative history has diverged (or missed a push) and every
@@ -277,7 +290,7 @@ impl CapComponent {
         // instances resolve, refreshed lookups miss in the LT (cold
         // context) and no speculative accesses are launched.
         if self.params.speculative_history && component_pred != Some(actual) {
-            entry.spec_history.copy_from(&entry.history);
+            entry.repair_spec_history();
         }
     }
 }
@@ -345,7 +358,7 @@ impl CapPredictor {
             stride_conf: config.params.counter(),
         };
         Self {
-            lb: LoadBuffer::new(config.lb, proto),
+            lb: LoadBuffer::new(config.lb, proto, config.params.history_layout()),
             component: CapComponent::new(config.params, config.lt),
         }
     }
@@ -401,12 +414,12 @@ impl CapPredictor {
 
 impl AddressPredictor for CapPredictor {
     fn predict(&mut self, ctx: &LoadContext) -> Prediction {
-        let Some(entry) = self.lb.lookup(ctx.ip) else {
+        let Some(mut entry) = self.lb.lookup(ctx.ip) else {
             self.component.obs.incr(names::LB_MISS);
             return Prediction::none();
         };
         self.component.obs.incr(names::LB_HIT);
-        let (addr, confident) = self.component.predict(entry, ctx);
+        let (addr, confident) = self.component.predict(&mut entry, ctx);
         Prediction {
             addr,
             speculate: addr.is_some() && confident,
@@ -424,12 +437,12 @@ impl AddressPredictor for CapPredictor {
     }
 
     fn update(&mut self, ctx: &LoadContext, actual: u64, pred: &Prediction) {
-        let (entry, fresh) = self.lb.lookup_or_insert(ctx.ip);
+        let (mut entry, fresh) = self.lb.lookup_or_insert(ctx.ip);
         if fresh {
             self.component.obs.incr(names::LB_ALLOC);
         }
         self.component
-            .update(entry, ctx, actual, pred.detail.cap_addr, pred.speculate, true);
+            .update(&mut entry, ctx, actual, pred.detail.cap_addr, pred.speculate, true);
     }
 
     fn name(&self) -> &'static str {
@@ -524,9 +537,13 @@ impl Snapshot for CapPredictor {
 
 impl Restorable for CapPredictor {
     fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
+        let lb = LoadBuffer::read_state(r)?;
+        let component = CapComponent::read_state(r)?;
         Ok(Self {
-            lb: LoadBuffer::read_state(r)?,
-            component: CapComponent::read_state(r)?,
+            lb: lb
+                .fit_history(component.params.history_layout())
+                .map_err(|m| r.bad_value(m))?,
+            component,
         })
     }
 }

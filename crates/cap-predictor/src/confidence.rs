@@ -86,7 +86,7 @@ impl SaturatingCounter {
     /// value wraps into `0..=max` — the structural invariant
     /// `value() <= max` holds even under injected faults.
     pub fn corrupt_value(&mut self, raw: u8) {
-        self.value = raw % (self.max + 1);
+        self.value = (u16::from(raw) % (u16::from(self.max) + 1)) as u8;
     }
 
     /// True when the counter authorises a speculative access.
@@ -97,7 +97,7 @@ impl SaturatingCounter {
 
     /// Records a correct prediction.
     pub fn on_correct(&mut self) {
-        self.value = (self.value + 1).min(self.max);
+        self.value = self.value.saturating_add(1).min(self.max);
     }
 
     /// Records a misprediction.
@@ -326,6 +326,33 @@ mod tests {
             c.on_correct();
         }
         assert_eq!(c.value(), 3);
+    }
+
+    #[test]
+    fn counter_saturates_at_the_u8_ceiling() {
+        // A 256-state counter: `value + 1` at 255 used to overflow (a
+        // panic in debug, a wrap to 0 in release).
+        let mut c = SaturatingCounter::new(1, u8::MAX, false);
+        for _ in 0..300 {
+            c.on_correct();
+        }
+        assert_eq!(c.value(), u8::MAX);
+        c.on_correct();
+        assert_eq!(c.value(), u8::MAX, "a correct prediction keeps it saturated");
+        assert!(c.is_confident());
+    }
+
+    #[test]
+    fn corrupt_value_at_the_u8_ceiling_keeps_every_raw_value() {
+        // `max + 1` used to wrap to a zero divisor and panic in release.
+        let mut c = SaturatingCounter::new(1, u8::MAX, false);
+        for raw in [0u8, 1, 200, u8::MAX] {
+            c.corrupt_value(raw);
+            assert_eq!(c.value(), raw, "a 256-state counter holds any raw byte");
+        }
+        let mut small = SaturatingCounter::new(2, 3, false);
+        small.corrupt_value(u8::MAX);
+        assert_eq!(small.value(), 3, "255 wraps into 0..=3");
     }
 
     #[test]

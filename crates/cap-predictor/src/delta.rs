@@ -19,7 +19,7 @@
 use crate::confidence::SaturatingCounter;
 use crate::history::HistorySpec;
 use crate::link_table::{LinkTable, LinkTableConfig};
-use crate::load_buffer::{LoadBuffer, LoadBufferConfig, LbEntryProto};
+use crate::load_buffer::{HistoryLayout, LbEntryProto, LoadBuffer, LoadBufferConfig};
 use crate::types::{AddressPredictor, LoadContext, PredSource, Prediction, PredictionDetail};
 
 /// Configuration of a [`DeltaCapPredictor`].
@@ -105,6 +105,7 @@ impl DeltaCapPredictor {
                     cap_conf: counter,
                     stride_conf: counter,
                 },
+                HistoryLayout::architectural(config.history.length),
             ),
             lt: LinkTable::new(config.lt),
             history: config.history,
@@ -124,10 +125,10 @@ impl AddressPredictor for DeltaCapPredictor {
         let Some(entry) = self.lb.lookup(ctx.ip) else {
             return Prediction::none();
         };
-        if !entry.stride_seen || !entry.history.is_warm(&spec) {
+        if !entry.stride_seen || !entry.history().is_warm(&spec) {
             return Prediction::none();
         }
-        let folded = entry.history.fold(&spec);
+        let folded = entry.history().fold(&spec);
         let Some(delta) = self.lt.lookup(&folded) else {
             return Prediction::none();
         };
@@ -146,7 +147,7 @@ impl AddressPredictor for DeltaCapPredictor {
 
     fn update(&mut self, ctx: &LoadContext, actual: u64, pred: &Prediction) {
         let spec = self.history;
-        let (entry, _fresh) = self.lb.lookup_or_insert(ctx.ip);
+        let (mut entry, _fresh) = self.lb.lookup_or_insert(ctx.ip);
         if let Some(p) = pred.addr {
             if p == actual {
                 entry.cap_conf.on_correct();
@@ -156,13 +157,13 @@ impl AddressPredictor for DeltaCapPredictor {
         }
         if entry.stride_seen {
             let delta = actual.wrapping_sub(entry.last_addr);
-            if entry.history.is_warm(&spec) {
-                let folded = entry.history.fold(&spec);
+            if entry.history().is_warm(&spec) {
+                let folded = entry.history().fold(&spec);
                 self.lt.update(&folded, delta);
             }
             // Deltas are folded like addresses; drop the 2 alignment bits
             // the fold ignores by pre-scaling (deltas can be small).
-            entry.history.push(delta << 2, &spec);
+            entry.history_mut().push(delta << 2, &spec);
         }
         entry.last_addr = actual;
         entry.stride_seen = true;

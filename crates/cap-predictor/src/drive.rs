@@ -91,12 +91,16 @@ pub struct Pending {
 /// entry, so when a load is predicted the pipe holds fewer than `gap`
 /// entries. Its in-flight count ([`LoadContext::pending`]) is therefore
 /// read straight from the pipe: a short scan that cannot drift from what
-/// is actually pending. At gap 0 the pipe stays empty: [`GapPipe::push`]
+/// is actually pending. The scan reads a dense ring of the pending IPs
+/// kept in step with the records (one cache line at gap 8), not the
+/// records themselves. At gap 0 the pipe stays empty: [`GapPipe::push`]
 /// resolves the load on the spot.
 #[derive(Debug)]
 pub struct GapPipe {
     gap: u64,
     pending: VecDeque<Pending>,
+    /// `pending[i].ctx.ip`, for every `i`.
+    ips: VecDeque<u64>,
 }
 
 impl GapPipe {
@@ -106,13 +110,16 @@ impl GapPipe {
         Self {
             gap: gap as u64,
             pending: VecDeque::with_capacity(gap + 1),
+            ips: VecDeque::with_capacity(gap + 1),
         }
     }
 
     /// Unresolved predictions of the static load at `ip`.
     #[must_use]
     pub fn in_flight(&self, ip: u64) -> u32 {
-        self.pending.iter().filter(|p| p.ctx.ip == ip).count() as u32
+        let (a, b) = self.ips.as_slices();
+        let count = |s: &[u64]| s.iter().filter(|&&p| p == ip).count();
+        (count(a) + count(b)) as u32
     }
 
     /// Queues the resolution of a predicted load. At gap 0 it resolves
@@ -129,6 +136,7 @@ impl GapPipe {
         if self.gap == 0 {
             Self::resolve(&load, predictor, stats, obs);
         } else {
+            self.ips.push_back(load.ctx.ip);
             self.pending.push_back(load);
         }
     }
@@ -158,6 +166,7 @@ impl GapPipe {
             .pending
             .pop_front_if(|p| p.seq.saturating_add(gap) <= seq)
         {
+            self.ips.pop_front();
             Self::resolve(&p, predictor, stats, obs);
         }
     }

@@ -9,17 +9,24 @@
 //! truncate. The scheme "naturally ages past addresses": after enough
 //! pushes an old address's bits are entirely shifted out.
 //!
-//! [`HistoryBuffer`] keeps the folded value as one register that every
-//! push updates in O(1), as hardware would: shift, xor in the newest
-//! address, xor out the address that leaves the window. It also keeps
-//! the last `N` raw addresses, which makes *history length* an exact,
-//! sweepable parameter (Figure 9), lets variable-length predictors fold
-//! shorter suffixes ([`HistoryBuffer::fold_last`]), and is what snapshots
-//! and fault injection see. Edits that bypass `push` (a corrupted bit, a
-//! restored snapshot) mark the register stale; folds then recompute from
-//! the raw addresses until the next push rebuilds it.
+//! One ring implementation serves every history here: a [`History`] /
+//! [`HistoryMut`] view pairs the ring's bookkeeping (oldest slot, count,
+//! folded register) with the slots it lives in. A Load Buffer keeps every
+//! way's slots in one flat arena (`length` per history), so filling,
+//! evicting or dropping an entry never touches the heap; the standalone
+//! [`HistoryBuffer`] is the same ring over its own storage.
+//!
+//! The folded value is one register that every push updates in O(1), as
+//! hardware would: shift, xor in the newest address, xor out the address
+//! that leaves the window. The ring also keeps the last `N` raw
+//! addresses, which makes *history length* an exact, sweepable parameter
+//! (Figure 9), lets variable-length predictors fold shorter suffixes
+//! ([`History::fold_last`]), and is what snapshots and fault injection
+//! see. Edits that bypass `push` (a corrupted bit, a restored snapshot)
+//! mark the register stale; folds then recompute from the raw addresses
+//! until the next push rebuilds it.
 
-use std::collections::VecDeque;
+use cap_snapshot::{Restorable, SectionReader, SectionWriter, Snapshot, SnapshotError};
 
 /// Parameters of the history compression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,78 +107,82 @@ pub struct FoldedHistory {
 /// 63 bits wide (see [`HistorySpec::validate`]), so it never collides.
 const STALE: u64 = u64::MAX;
 
-/// A bounded FIFO of recent (base) addresses for one static load, plus
-/// its shift(m)-xor folded register.
-///
-/// The register follows the spec passed to [`HistoryBuffer::push`]; a
-/// buffer is pushed and folded with one spec throughout (every predictor
-/// here holds one spec per buffer).
-#[derive(Debug, Clone, Default)]
-pub struct HistoryBuffer {
-    addrs: VecDeque<u64>,
-    /// Fold of `addrs` under the push spec, or [`STALE`].
+/// A ring's bookkeeping; its addresses live in a separate slot slice
+/// whose length is the ring's capacity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct RingState {
+    /// Slot of the oldest recorded address.
+    head: u32,
+    /// Recorded addresses (≤ capacity).
+    len: u32,
+    /// Fold of the recorded addresses under the push spec, or [`STALE`].
     folded: u64,
 }
 
-/// Equality is over the recorded addresses; the register is derived.
-impl PartialEq for HistoryBuffer {
-    fn eq(&self, other: &Self) -> bool {
-        self.addrs == other.addrs
+impl RingState {
+    /// The state of `len` addresses written to slots `0..len` by a
+    /// restore: the register is stale until the next push.
+    pub(crate) fn restored(len: usize) -> Self {
+        Self {
+            head: 0,
+            len: len as u32,
+            folded: STALE,
+        }
     }
 }
 
-impl Eq for HistoryBuffer {}
+/// A read-only view of one address history: its bookkeeping plus the
+/// slots it lives in.
+#[derive(Debug, Clone, Copy)]
+pub struct History<'a> {
+    state: &'a RingState,
+    slots: &'a [u64],
+}
 
-impl HistoryBuffer {
-    /// Creates an empty history.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+/// A mutable view of one address history. The ring's capacity is its
+/// slot count; every push keeps at most `spec.length` addresses, which
+/// must not exceed it.
+#[derive(Debug)]
+pub struct HistoryMut<'a> {
+    state: &'a mut RingState,
+    slots: &'a mut [u64],
+}
+
+impl<'a> History<'a> {
+    pub(crate) fn new(state: &'a RingState, slots: &'a [u64]) -> Self {
+        debug_assert!(state.len as usize <= slots.len());
+        Self { state, slots }
     }
 
-    /// Records `addr` as the most recent address, keeping at most
-    /// `spec.length` entries, and rolls the folded register forward.
-    pub fn push(&mut self, addr: u64, spec: &HistorySpec) {
-        self.addrs.push_back(addr);
-        if self.folded == STALE {
-            // A restored buffer may be longer than the spec: trim, rebuild.
-            while self.addrs.len() > spec.length {
-                self.addrs.pop_front();
-            }
-            self.folded = self.fold_raw(spec, spec.length);
-            return;
-        }
-        let mut h = (self.folded << spec.shift) ^ (addr >> 2);
-        if self.addrs.len() > spec.length {
-            if let Some(old) = self.addrs.pop_front() {
-                // `old` was pushed `length` pushes ago, so its bits now
-                // sit at `shift * length` (or past bit 63: gone).
-                let age = u32::try_from(spec.length)
-                    .ok()
-                    .and_then(|l| l.checked_mul(spec.shift));
-                h ^= age.and_then(|s| (old >> 2).checked_shl(s)).unwrap_or(0);
-            }
-        }
-        self.folded = h & spec.mask();
-    }
-
-    /// Number of recorded addresses (≤ `spec.length`).
+    /// Number of recorded addresses.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.addrs.len()
+        self.state.len as usize
     }
 
     /// True when no addresses have been recorded yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
+        self.state.len == 0
     }
 
     /// True once the history holds `spec.length` addresses — predictions
     /// before that point would index the LT with a partial context.
     #[must_use]
     pub fn is_warm(&self, spec: &HistorySpec) -> bool {
-        self.addrs.len() >= spec.length
+        self.len() >= spec.length
+    }
+
+    /// True once at least `length` addresses are recorded.
+    #[must_use]
+    pub fn has_at_least(&self, length: usize) -> bool {
+        self.len() >= length
+    }
+
+    /// The recorded addresses, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + 'a {
+        let (state, slots) = (self.state, self.slots);
+        (0..state.len as usize).map(move |i| slots[slot(state, slots.len(), i)])
     }
 
     /// The recorded addresses folded with the shift(m)-xor scheme, split
@@ -179,10 +190,10 @@ impl HistoryBuffer {
     /// it is stale. Always equal to `fold_last(spec, spec.length)`.
     #[must_use]
     pub fn fold(&self, spec: &HistorySpec) -> FoldedHistory {
-        if self.folded == STALE {
+        if self.state.folded == STALE {
             return self.fold_last(spec, spec.length);
         }
-        spec.split(self.folded)
+        spec.split(self.state.folded)
     }
 
     /// Folds only the most recent `length` recorded addresses — used by
@@ -199,52 +210,249 @@ impl HistoryBuffer {
     fn fold_raw(&self, spec: &HistorySpec, length: usize) -> u64 {
         let mask = spec.mask();
         let mut h: u64 = 0;
-        let skip = self.addrs.len().saturating_sub(length);
-        for &a in self.addrs.iter().skip(skip) {
+        for a in self.iter().skip(self.len().saturating_sub(length)) {
             // All LSBs except the last two (alignment bits), per §3.2.
             h = ((h << spec.shift) ^ (a >> 2)) & mask;
         }
         h
     }
 
-    /// True once at least `length` addresses are recorded.
-    #[must_use]
-    pub fn has_at_least(&self, length: usize) -> bool {
-        self.addrs.len() >= length
+    /// Writes the snapshot encoding: the count, then the addresses oldest
+    /// first.
+    pub(crate) fn write_state(&self, w: &mut SectionWriter) {
+        w.put_len(self.len());
+        for a in self.iter() {
+            w.put_u64(a);
+        }
+    }
+}
+
+/// Physical slot of the `i`-th oldest address.
+fn slot(state: &RingState, cap: usize, i: usize) -> usize {
+    let s = state.head as usize + i;
+    if s >= cap { s - cap } else { s }
+}
+
+impl<'a> HistoryMut<'a> {
+    pub(crate) fn new(state: &'a mut RingState, slots: &'a mut [u64]) -> Self {
+        debug_assert!(state.len as usize <= slots.len());
+        Self { state, slots }
+    }
+
+    fn view(&self) -> History<'_> {
+        History::new(self.state, self.slots)
+    }
+
+    /// Records `addr` as the most recent address, keeping at most
+    /// `spec.length` entries, and rolls the folded register forward.
+    pub fn push(&mut self, addr: u64, spec: &HistorySpec) {
+        let cap = self.slots.len();
+        let len = self.state.len as usize;
+        debug_assert!(spec.length <= cap, "history ring smaller than the spec");
+        let tail = slot(self.state, cap, len);
+        if self.state.folded == STALE {
+            // A restored history may be longer than the spec: append
+            // (over the oldest when the ring is full), trim, rebuild.
+            if len == cap {
+                self.slots[self.state.head as usize] = addr;
+                self.advance_head();
+            } else {
+                self.slots[tail] = addr;
+                self.state.len += 1;
+            }
+            while self.state.len as usize > spec.length {
+                self.advance_head();
+                self.state.len -= 1;
+            }
+            self.state.folded = self.view().fold_raw(spec, spec.length);
+            return;
+        }
+        let mut h = (self.state.folded << spec.shift) ^ (addr >> 2);
+        if len >= spec.length {
+            // The oldest address leaves. It was pushed `length` pushes
+            // ago, so its bits now sit at `shift * length` (or past bit
+            // 63: gone). At full capacity `tail` is its slot.
+            let old = self.slots[self.state.head as usize];
+            let age = u32::try_from(spec.length)
+                .ok()
+                .and_then(|l| l.checked_mul(spec.shift));
+            h ^= age.and_then(|s| (old >> 2).checked_shl(s)).unwrap_or(0);
+            self.slots[tail] = addr;
+            self.advance_head();
+        } else {
+            self.slots[tail] = addr;
+            self.state.len += 1;
+        }
+        self.state.folded = h & spec.mask();
+    }
+
+    fn advance_head(&mut self) {
+        let next = self.state.head as usize + 1;
+        self.state.head = if next == self.slots.len() { 0 } else { next as u32 };
     }
 
     /// Flips one bit of a recorded address, modelling an upset in the
-    /// history register (fault injection). `slot` and `bit` are wrapped into
-    /// range; returns `false` (and does nothing) when the history is empty.
-    /// Every `u64` is a structurally valid address, so the buffer's only
-    /// invariant — length ≤ `spec.length` — is untouched.
-    pub fn corrupt_bit(&mut self, slot: usize, bit: u32) -> bool {
-        if self.addrs.is_empty() {
+    /// history register (fault injection). `index` (counted from the
+    /// oldest address) and `bit` are wrapped into range; returns `false`
+    /// (and does nothing) when the history is empty. Every `u64` is a
+    /// structurally valid address, so the history's only invariant —
+    /// length ≤ `spec.length` — is untouched.
+    pub fn corrupt_bit(&mut self, index: usize, bit: u32) -> bool {
+        let len = self.state.len as usize;
+        if len == 0 {
             return false;
         }
-        let slot = slot % self.addrs.len();
-        if let Some(a) = self.addrs.get_mut(slot) {
-            *a ^= 1u64 << (bit % 64);
-        }
-        self.folded = STALE;
+        let s = slot(self.state, self.slots.len(), index % len);
+        self.slots[s] ^= 1u64 << (bit % 64);
+        self.state.folded = STALE;
         true
     }
 
     /// Clears the history (used when repairing speculative state).
     pub fn clear(&mut self) {
-        self.addrs.clear();
-        self.folded = 0;
+        *self.state = RingState::default();
     }
 
-    /// Copies another history's contents into this one (state repair).
-    pub fn copy_from(&mut self, other: &HistoryBuffer) {
-        self.addrs.clear();
-        self.addrs.extend(other.addrs.iter().copied());
-        self.folded = other.folded;
+    /// Copies another history's contents into this one (state repair): a
+    /// slice copy when both rings have the same capacity, else the window
+    /// is laid out oldest-first from slot 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` holds more addresses than this ring has slots.
+    pub fn copy_from(&mut self, other: History<'_>) {
+        if self.slots.len() == other.slots.len() {
+            self.slots.copy_from_slice(other.slots);
+            *self.state = *other.state;
+            return;
+        }
+        assert!(other.len() <= self.slots.len(), "history does not fit the ring");
+        for (dst, a) in self.slots.iter_mut().zip(other.iter()) {
+            *dst = a;
+        }
+        *self.state = RingState {
+            head: 0,
+            ..*other.state
+        };
     }
 }
 
-use cap_snapshot::{Restorable, SectionReader, SectionWriter, Snapshot, SnapshotError};
+/// A standalone address history: the ring over its own storage, grown to
+/// the spec's length on the first push. Used where a history lives
+/// outside a Load Buffer (tests, [`crate::cap::CapPredictor::predict_ahead`]'s
+/// scratch walk).
+///
+/// The register follows the spec passed to [`HistoryBuffer::push`]; a
+/// buffer is pushed and folded with one spec throughout (every predictor
+/// here holds one spec per buffer).
+#[derive(Debug, Clone, Default)]
+pub struct HistoryBuffer {
+    slots: Vec<u64>,
+    state: RingState,
+}
+
+/// Equality is over the recorded addresses; the layout and register are
+/// derived.
+impl PartialEq for HistoryBuffer {
+    fn eq(&self, other: &Self) -> bool {
+        self.view().iter().eq(other.view().iter())
+    }
+}
+
+impl Eq for HistoryBuffer {}
+
+impl From<History<'_>> for HistoryBuffer {
+    fn from(h: History<'_>) -> Self {
+        Self {
+            slots: h.slots.to_vec(),
+            state: *h.state,
+        }
+    }
+}
+
+impl HistoryBuffer {
+    /// Creates an empty history.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A read-only view of the ring.
+    #[must_use]
+    pub fn view(&self) -> History<'_> {
+        History::new(&self.state, &self.slots)
+    }
+
+    fn view_mut(&mut self) -> HistoryMut<'_> {
+        HistoryMut::new(&mut self.state, &mut self.slots)
+    }
+
+    /// Records `addr` as the most recent address, keeping at most
+    /// `spec.length` entries, and rolls the folded register forward.
+    pub fn push(&mut self, addr: u64, spec: &HistorySpec) {
+        if self.slots.len() < spec.length {
+            // Re-lay the window oldest-first into `spec.length` slots.
+            let mut slots: Vec<u64> = self.view().iter().collect();
+            slots.resize(spec.length, 0);
+            self.slots = slots;
+            self.state.head = 0;
+        }
+        self.view_mut().push(addr, spec);
+    }
+
+    /// Number of recorded addresses (≤ `spec.length`).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.view().len()
+    }
+
+    /// True when no addresses have been recorded yet.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.view().is_empty()
+    }
+
+    /// See [`History::is_warm`].
+    #[must_use]
+    pub fn is_warm(&self, spec: &HistorySpec) -> bool {
+        self.view().is_warm(spec)
+    }
+
+    /// See [`History::fold`].
+    #[must_use]
+    pub fn fold(&self, spec: &HistorySpec) -> FoldedHistory {
+        self.view().fold(spec)
+    }
+
+    /// See [`History::fold_last`].
+    #[must_use]
+    pub fn fold_last(&self, spec: &HistorySpec, length: usize) -> FoldedHistory {
+        self.view().fold_last(spec, length)
+    }
+
+    /// See [`History::has_at_least`].
+    #[must_use]
+    pub fn has_at_least(&self, length: usize) -> bool {
+        self.view().has_at_least(length)
+    }
+
+    /// See [`HistoryMut::corrupt_bit`].
+    pub fn corrupt_bit(&mut self, slot: usize, bit: u32) -> bool {
+        self.view_mut().corrupt_bit(slot, bit)
+    }
+
+    /// Clears the history.
+    pub fn clear(&mut self) {
+        self.view_mut().clear();
+    }
+
+    /// Copies another history's contents into this one: a slice copy of
+    /// its storage.
+    pub fn copy_from(&mut self, other: &HistoryBuffer) {
+        self.slots.clone_from(&other.slots);
+        self.state = other.state;
+    }
+}
 
 impl Snapshot for HistorySpec {
     fn write_state(&self, w: &mut SectionWriter) {
@@ -286,24 +494,21 @@ impl Restorable for HistorySpec {
 
 impl Snapshot for HistoryBuffer {
     fn write_state(&self, w: &mut SectionWriter) {
-        w.put_len(self.addrs.len());
-        for &a in &self.addrs {
-            w.put_u64(a);
-        }
+        self.view().write_state(w);
     }
 }
 
 impl Restorable for HistoryBuffer {
     fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
         let len = r.take_len(8, "history address count")?;
-        let mut addrs = VecDeque::with_capacity(len);
+        let mut slots = Vec::with_capacity(len);
         for _ in 0..len {
-            addrs.push_back(r.take_u64("history address")?);
+            slots.push(r.take_u64("history address")?);
         }
         // The spec is not part of the payload; the next push refolds.
         Ok(Self {
-            addrs,
-            folded: STALE,
+            slots,
+            state: RingState::restored(len),
         })
     }
 }

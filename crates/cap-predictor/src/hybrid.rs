@@ -124,7 +124,7 @@ impl HybridPredictor {
             stride_conf: config.stride.counter(),
         };
         Self {
-            lb: LoadBuffer::new(config.lb, proto),
+            lb: LoadBuffer::new(config.lb, proto, config.cap.history_layout()),
             cap: CapComponent::new(config.cap, config.lt),
             stride: StrideComponent::new(config.stride),
             lt_update: config.lt_update,
@@ -168,13 +168,13 @@ impl HybridPredictor {
 
 impl AddressPredictor for HybridPredictor {
     fn predict(&mut self, ctx: &LoadContext) -> Prediction {
-        let Some(entry) = self.lb.lookup(ctx.ip) else {
+        let Some(mut entry) = self.lb.lookup(ctx.ip) else {
             self.obs.incr(names::LB_MISS);
             return Prediction::none();
         };
         self.obs.incr(names::LB_HIT);
-        let (stride_addr, stride_conf) = self.stride.predict(entry, ctx);
-        let (cap_addr, cap_conf) = self.cap.predict(entry, ctx);
+        let (stride_addr, stride_conf) = self.stride.predict(&entry, ctx);
+        let (cap_addr, cap_conf) = self.cap.predict(&mut entry, ctx);
         let selector_state = entry.selector;
         let next_invocation = stride_addr
             .filter(|_| stride_conf)
@@ -221,7 +221,7 @@ impl AddressPredictor for HybridPredictor {
     }
 
     fn update(&mut self, ctx: &LoadContext, actual: u64, pred: &Prediction) {
-        let (entry, fresh) = self.lb.lookup_or_insert(ctx.ip);
+        let (mut entry, fresh) = self.lb.lookup_or_insert(ctx.ip);
         if fresh {
             self.obs.incr(names::LB_ALLOC);
         }
@@ -241,9 +241,9 @@ impl AddressPredictor for HybridPredictor {
         let cap_speculated = pred.speculate && pred.source == PredSource::Cap;
         let stride_speculated = pred.speculate && pred.source == PredSource::Stride;
         self.cap
-            .update(entry, ctx, actual, d.cap_addr, cap_speculated, update_lt);
+            .update(&mut entry, ctx, actual, d.cap_addr, cap_speculated, update_lt);
         self.stride
-            .update(entry, ctx, actual, d.stride_addr, stride_speculated);
+            .update(&mut entry, ctx, actual, d.stride_addr, stride_speculated);
 
         // Selector training (§4.4): move toward the component that was
         // right when they disagree.
@@ -331,6 +331,9 @@ impl Restorable for HybridPredictor {
     fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
         let lb = LoadBuffer::read_state(r)?;
         let cap = CapComponent::read_state(r)?;
+        let lb = lb
+            .fit_history(cap.params().history_layout())
+            .map_err(|m| r.bad_value(m))?;
         let stride_params = StrideParams::read_state(r)?;
         // Telemetry is not snapshotted: restores come up with it off.
         Ok(Self {

@@ -6,7 +6,7 @@
 //! stack slots); the `text-coverage` experiment reproduces that headline.
 
 use crate::confidence::SaturatingCounter;
-use crate::load_buffer::{LoadBuffer, LoadBufferConfig, LbEntryProto};
+use crate::load_buffer::{HistoryLayout, LbEntryProto, LoadBuffer, LoadBufferConfig};
 use crate::types::{AddressPredictor, LoadContext, PredSource, Prediction, PredictionDetail};
 
 /// A last-address predictor built on the shared Load Buffer.
@@ -46,6 +46,7 @@ impl LastAddressPredictor {
                     cap_conf: counter,
                     stride_conf: counter,
                 },
+                HistoryLayout::NONE,
             ),
         }
     }
@@ -73,7 +74,7 @@ impl AddressPredictor for LastAddressPredictor {
     }
 
     fn update(&mut self, ctx: &LoadContext, actual: u64, pred: &Prediction) {
-        let (entry, _fresh) = self.lb.lookup_or_insert(ctx.ip);
+        let (mut entry, _fresh) = self.lb.lookup_or_insert(ctx.ip);
         if pred.addr.is_some() {
             if pred.addr == Some(actual) {
                 entry.stride_conf.on_correct();

@@ -123,6 +123,8 @@ impl LtWrite {
 #[derive(Debug, Clone)]
 pub struct LinkTable {
     config: LinkTableConfig,
+    /// `config.sets() - 1`, kept so indexing never divides.
+    set_mask: usize,
     /// Set-major ways: set `s` is `ways[s * assoc..(s + 1) * assoc]`.
     ways: Vec<Option<LtEntry>>,
     decoupled_pf: Vec<(u8, bool)>,
@@ -150,6 +152,7 @@ impl LinkTable {
         Self {
             ways: vec![None; config.entries],
             decoupled_pf: vec![(0, false); decoupled_len],
+            set_mask: config.sets() - 1,
             config,
             tick: 0,
         }
@@ -162,7 +165,7 @@ impl LinkTable {
     }
 
     fn set_index(&self, folded: &FoldedHistory) -> usize {
-        (folded.index as usize) & (self.config.sets() - 1)
+        (folded.index as usize) & self.set_mask
     }
 
     /// The ways of `folded`'s set.
@@ -453,6 +456,7 @@ impl Restorable for LinkTable {
             decoupled_pf.push((pf, primed));
         }
         Ok(Self {
+            set_mask: config.sets() - 1,
             config,
             ways,
             decoupled_pf,

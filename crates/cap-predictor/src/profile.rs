@@ -202,7 +202,7 @@ impl ProfileGuidedPredictor {
         };
         Self {
             classes,
-            lb: LoadBuffer::new(lb, proto),
+            lb: LoadBuffer::new(lb, proto, cap.history_layout()),
             cap: CapComponent::new(cap, lt),
             stride: StrideComponent::new(stride),
         }
@@ -221,12 +221,12 @@ impl AddressPredictor for ProfileGuidedPredictor {
         if class == LoadClass::Unknown {
             return Prediction::none();
         }
-        let Some(entry) = self.lb.lookup(ctx.ip) else {
+        let Some(mut entry) = self.lb.lookup(ctx.ip) else {
             return Prediction::none();
         };
         match class {
             LoadClass::Constant | LoadClass::Stride => {
-                let (addr, confident) = self.stride.predict(entry, ctx);
+                let (addr, confident) = self.stride.predict(&entry, ctx);
                 Prediction {
                     addr,
                     speculate: addr.is_some() && confident,
@@ -243,7 +243,7 @@ impl AddressPredictor for ProfileGuidedPredictor {
                 }
             }
             LoadClass::Context => {
-                let (addr, confident) = self.cap.predict(entry, ctx);
+                let (addr, confident) = self.cap.predict(&mut entry, ctx);
                 Prediction {
                     addr,
                     speculate: addr.is_some() && confident,
@@ -268,15 +268,15 @@ impl AddressPredictor for ProfileGuidedPredictor {
         if class == LoadClass::Unknown {
             return; // no allocation, no pollution
         }
-        let (entry, _fresh) = self.lb.lookup_or_insert(ctx.ip);
+        let (mut entry, _fresh) = self.lb.lookup_or_insert(ctx.ip);
         match class {
             LoadClass::Constant | LoadClass::Stride => {
                 self.stride
-                    .update(entry, ctx, actual, pred.detail.stride_addr, pred.speculate);
+                    .update(&mut entry, ctx, actual, pred.detail.stride_addr, pred.speculate);
             }
             LoadClass::Context => {
                 self.cap
-                    .update(entry, ctx, actual, pred.detail.cap_addr, pred.speculate, true);
+                    .update(&mut entry, ctx, actual, pred.detail.cap_addr, pred.speculate, true);
             }
             LoadClass::Unknown => unreachable!("handled above"),
         }

@@ -13,7 +13,7 @@
 //!   the predictor (§5.2).
 
 use crate::confidence::{CfiMode, SaturatingCounter};
-use crate::load_buffer::{LbEntry, LoadBuffer, LoadBufferConfig, LbEntryProto, StrideState};
+use crate::load_buffer::{HistoryLayout, LbEntry, LbEntryProto, LoadBuffer, LoadBufferConfig, StrideState};
 use crate::metrics::names;
 use crate::types::{AddressPredictor, LoadContext, PredSource, Prediction, PredictionDetail};
 use cap_obs::Obs;
@@ -240,7 +240,7 @@ impl StridePredictor {
             stride_conf: params.counter(),
         };
         Self {
-            lb: LoadBuffer::new(lb, proto),
+            lb: LoadBuffer::new(lb, proto, HistoryLayout::NONE),
             component: StrideComponent::new(params),
         }
     }
@@ -264,7 +264,7 @@ impl AddressPredictor for StridePredictor {
             return Prediction::none();
         };
         self.component.obs.incr(names::LB_HIT);
-        let (addr, confident) = self.component.predict(entry, ctx);
+        let (addr, confident) = self.component.predict(&entry, ctx);
         let stride = entry.stride;
         Prediction {
             addr,
@@ -284,12 +284,12 @@ impl AddressPredictor for StridePredictor {
     }
 
     fn update(&mut self, ctx: &LoadContext, actual: u64, pred: &Prediction) {
-        let (entry, fresh) = self.lb.lookup_or_insert(ctx.ip);
+        let (mut entry, fresh) = self.lb.lookup_or_insert(ctx.ip);
         if fresh {
             self.component.obs.incr(names::LB_ALLOC);
         }
         self.component.update(
-            entry,
+            &mut entry,
             ctx,
             actual,
             pred.detail.stride_addr,
@@ -349,8 +349,11 @@ impl Snapshot for StridePredictor {
 impl Restorable for StridePredictor {
     fn read_state(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
         let params = StrideParams::read_state(r)?;
+        let lb = LoadBuffer::read_state(r)?
+            .fit_history(HistoryLayout::NONE)
+            .map_err(|m| r.bad_value(m))?;
         Ok(Self {
-            lb: LoadBuffer::read_state(r)?,
+            lb,
             component: StrideComponent::new(params),
         })
     }

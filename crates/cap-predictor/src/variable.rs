@@ -14,7 +14,7 @@
 use crate::confidence::SaturatingCounter;
 use crate::history::HistorySpec;
 use crate::link_table::{LinkTable, LinkTableConfig};
-use crate::load_buffer::{LoadBuffer, LoadBufferConfig, LbEntryProto};
+use crate::load_buffer::{HistoryLayout, LbEntryProto, LoadBuffer, LoadBufferConfig};
 use crate::types::{AddressPredictor, LoadContext, PredSource, Prediction, PredictionDetail};
 
 /// Configuration of a [`VariableHistoryCap`].
@@ -126,6 +126,7 @@ impl VariableHistoryCap {
                     cap_conf: counter,
                     stride_conf: counter,
                 },
+                HistoryLayout::architectural(config.history.length),
             ),
             short_lt: LinkTable::new(config.lt),
             long_lt: LinkTable::new(config.lt),
@@ -142,15 +143,16 @@ impl AddressPredictor for VariableHistoryCap {
             return Prediction::none();
         };
         // Longest matching context wins.
-        let link = if entry.history.has_at_least(cfg.long_length) {
-            let folded = entry.history.fold_last(&cfg.history, cfg.long_length);
+        let history = entry.history();
+        let link = if history.has_at_least(cfg.long_length) {
+            let folded = history.fold_last(&cfg.history, cfg.long_length);
             self.long_lt.lookup(&folded)
         } else {
             None
         }
         .or_else(|| {
-            if entry.history.has_at_least(cfg.short_length) {
-                let folded = entry.history.fold_last(&cfg.history, cfg.short_length);
+            if history.has_at_least(cfg.short_length) {
+                let folded = history.fold_last(&cfg.history, cfg.short_length);
                 self.short_lt.lookup(&folded)
             } else {
                 None
@@ -177,7 +179,7 @@ impl AddressPredictor for VariableHistoryCap {
         let cfg = self.config;
         let off_lsb = u64::from((ctx.offset as u32) & ((1u32 << cfg.offset_lsb_bits) - 1));
         let actual_base = actual.wrapping_sub(off_lsb);
-        let (entry, _fresh) = self.lb.lookup_or_insert(ctx.ip);
+        let (mut entry, _fresh) = self.lb.lookup_or_insert(ctx.ip);
         entry.offset_lsb = off_lsb as u32;
         if let Some(p) = pred.addr {
             if p == actual {
@@ -186,15 +188,16 @@ impl AddressPredictor for VariableHistoryCap {
                 entry.cap_conf.on_incorrect();
             }
         }
-        if entry.history.has_at_least(cfg.long_length) {
-            let folded = entry.history.fold_last(&cfg.history, cfg.long_length);
+        let history = entry.history();
+        if history.has_at_least(cfg.long_length) {
+            let folded = history.fold_last(&cfg.history, cfg.long_length);
             self.long_lt.update(&folded, actual_base);
         }
-        if entry.history.has_at_least(cfg.short_length) {
-            let folded = entry.history.fold_last(&cfg.history, cfg.short_length);
+        if history.has_at_least(cfg.short_length) {
+            let folded = history.fold_last(&cfg.history, cfg.short_length);
             self.short_lt.update(&folded, actual_base);
         }
-        entry.history.push(actual_base, &cfg.history);
+        entry.history_mut().push(actual_base, &cfg.history);
     }
 
     fn name(&self) -> &'static str {

@@ -315,3 +315,167 @@ fn session_pending_matches_reference_count() {
         }
     });
 }
+
+/// The `VecDeque` history the arena ring replaced, kept as the reference
+/// model of its semantics.
+#[derive(Debug, Clone, Default)]
+struct RefHistory {
+    addrs: std::collections::VecDeque<u64>,
+}
+
+impl RefHistory {
+    fn push(&mut self, addr: u64, spec: &HistorySpec) {
+        self.addrs.push_back(addr);
+        while self.addrs.len() > spec.length {
+            self.addrs.pop_front();
+        }
+    }
+
+    fn fold_last(&self, spec: &HistorySpec, length: usize) -> cap_predictor::history::FoldedHistory {
+        let mask = (1u64 << spec.width()) - 1;
+        let skip = self.addrs.len().saturating_sub(length);
+        let h = self
+            .addrs
+            .iter()
+            .skip(skip)
+            .fold(0u64, |h, &a| ((h << spec.shift) ^ (a >> 2)) & mask);
+        spec.split(h)
+    }
+
+    fn corrupt_bit(&mut self, slot: usize, bit: u32) -> bool {
+        if self.addrs.is_empty() {
+            return false;
+        }
+        let slot = slot % self.addrs.len();
+        self.addrs[slot] ^= 1u64 << (bit % 64);
+        true
+    }
+
+    /// The snapshot encoding: the count, then the addresses oldest first.
+    fn payload(&self) -> Vec<u8> {
+        let mut w = cap_snapshot::SectionWriter::new();
+        w.put_len(self.addrs.len());
+        for &a in &self.addrs {
+            w.put_u64(a);
+        }
+        w.into_bytes()
+    }
+}
+
+fn assert_matches_reference(
+    h: cap_predictor::history::History<'_>,
+    reference: &RefHistory,
+    spec: &HistorySpec,
+    what: &str,
+) {
+    use cap_snapshot::Snapshot;
+    assert_eq!(h.len(), reference.addrs.len(), "{what}: len");
+    assert_eq!(h.is_warm(spec), reference.addrs.len() >= spec.length, "{what}: is_warm");
+    assert_eq!(h.fold(spec), reference.fold_last(spec, spec.length), "{what}: fold");
+    for length in 1..=spec.length {
+        assert_eq!(
+            h.fold_last(spec, length),
+            reference.fold_last(spec, length),
+            "{what}: fold_last({length})"
+        );
+    }
+    assert_eq!(
+        HistoryBuffer::from(h).to_payload(),
+        reference.payload(),
+        "{what}: snapshot bytes"
+    );
+}
+
+/// The arena ring — a Load Buffer way's architectural and speculative
+/// histories, and the standalone `HistoryBuffer` — behaves exactly like
+/// the `VecDeque` history it replaced under any sequence of pushes,
+/// copies, clears, bit upsets and snapshot round-trips.
+#[test]
+fn arena_ring_matches_vecdeque_reference() {
+    use cap_predictor::load_buffer::{HistoryLayout, LbEntryProto, LoadBuffer};
+    use cap_snapshot::{Restorable, Snapshot};
+    const IP: u64 = 0x40;
+    check::run("arena_ring_matches_vecdeque_reference", |rng| {
+        let index_bits = rng.gen_range(1u32..=40);
+        let spec = HistorySpec {
+            length: rng.gen_range(1usize..=16),
+            shift: rng.gen_range(1u32..=8),
+            index_bits,
+            tag_bits: rng.gen_range(0u32..=63 - index_bits),
+        };
+        let layout = HistoryLayout {
+            length: spec.length,
+            speculative: true,
+        };
+        let counter = SaturatingCounter::new(2, 3, false);
+        let proto = LbEntryProto {
+            cap_conf: counter,
+            stride_conf: counter,
+        };
+        let mut lb = LoadBuffer::new(LoadBufferConfig { entries: 2, assoc: 1 }, proto, layout);
+        lb.lookup_or_insert(IP);
+        let (mut arch, mut spec_hist) = (HistoryBuffer::new(), HistoryBuffer::new());
+        let (mut ref_arch, mut ref_spec) = (RefHistory::default(), RefHistory::default());
+        for step in 0..rng.gen_range(1usize..200) {
+            let mut way = lb.lookup(IP).expect("resident");
+            match rng.gen_range(0u8..16) {
+                0 => {
+                    let (slot, bit) = (rng.gen::<usize>(), rng.gen::<u32>());
+                    let applied = ref_arch.corrupt_bit(slot, bit);
+                    assert_eq!(way.history_mut().corrupt_bit(slot, bit), applied);
+                    assert_eq!(arch.corrupt_bit(slot, bit), applied);
+                }
+                1 => {
+                    let (slot, bit) = (rng.gen::<usize>(), rng.gen::<u32>());
+                    let applied = ref_spec.corrupt_bit(slot, bit);
+                    assert_eq!(way.spec_history_mut().corrupt_bit(slot, bit), applied);
+                    assert_eq!(spec_hist.corrupt_bit(slot, bit), applied);
+                }
+                2 => {
+                    way.repair_spec_history();
+                    spec_hist.copy_from(&arch);
+                    ref_spec = ref_arch.clone();
+                }
+                3 => {
+                    if rng.gen_bool(0.5) {
+                        way.history_mut().clear();
+                        arch.clear();
+                        ref_arch.addrs.clear();
+                    } else {
+                        way.spec_history_mut().clear();
+                        spec_hist.clear();
+                        ref_spec.addrs.clear();
+                    }
+                }
+                4 => {
+                    lb = LoadBuffer::from_payload(&lb.to_payload(), "lb")
+                        .expect("own payload restores")
+                        .fit_history(layout)
+                        .expect("own histories fit");
+                    arch = HistoryBuffer::from_payload(&arch.to_payload(), "history")
+                        .expect("own payload restores");
+                    spec_hist = HistoryBuffer::from_payload(&spec_hist.to_payload(), "history")
+                        .expect("own payload restores");
+                }
+                5..=7 => {
+                    let a = rng.gen();
+                    way.spec_history_mut().push(a, &spec);
+                    spec_hist.push(a, &spec);
+                    ref_spec.push(a, &spec);
+                }
+                _ => {
+                    let a = rng.gen();
+                    way.history_mut().push(a, &spec);
+                    arch.push(a, &spec);
+                    ref_arch.push(a, &spec);
+                }
+            }
+            let way = lb.peek(IP).expect("resident");
+            let what = format!("{spec:?}, step {step}");
+            assert_matches_reference(way.history(), &ref_arch, &spec, &format!("arena arch, {what}"));
+            assert_matches_reference(way.spec_history(), &ref_spec, &spec, &format!("arena spec, {what}"));
+            assert_matches_reference(arch.view(), &ref_arch, &spec, &format!("buffer arch, {what}"));
+            assert_matches_reference(spec_hist.view(), &ref_spec, &spec, &format!("buffer spec, {what}"));
+        }
+    });
+}

@@ -180,3 +180,37 @@ fn stats_roundtrip_preserves_every_counter() {
     let restored = PredictorStats::from_payload(&s.to_payload(), "stats").unwrap();
     assert_eq!(restored, s);
 }
+
+/// Any `u32` is a valid interval run in a payload. A restored entry whose
+/// run sits at `u32::MAX` must not overflow when a gapped predict adds
+/// its in-flight count (`LoadContext::pending`): speculation stays
+/// withheld, as the run is past the learned interval.
+#[test]
+fn restored_saturated_interval_withholds_speculation_under_a_gap() {
+    use cap_predictor::load_buffer::IntervalCounter;
+    let mut p = small_stride();
+    let ip = 0x400;
+    for i in 0..8u64 {
+        let ctx = LoadContext::new(ip, 0, 0);
+        let pred = p.predict(&ctx);
+        p.update(&ctx, 0x1000 + i * 8, &pred);
+    }
+    assert!(p.predict(&LoadContext::new(ip, 0, 0)).speculate, "trained to confidence");
+    for mut way in p.load_buffer_mut().entries_mut() {
+        way.interval = IntervalCounter {
+            learned: 5,
+            run: u32::MAX,
+        };
+    }
+    let mut restored =
+        StridePredictor::from_payload(&p.to_payload(), "predictor").expect("payload restores");
+    for pending in [1, 8, u32::MAX] {
+        let ctx = LoadContext {
+            pending,
+            ..LoadContext::new(ip, 0, 0)
+        };
+        let pred = restored.predict(&ctx);
+        assert!(pred.addr.is_some(), "the stride still predicts");
+        assert!(!pred.speculate, "pending {pending}: the interval is exhausted");
+    }
+}

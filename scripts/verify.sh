@@ -27,7 +27,7 @@
 #   bench    just the perf-baseline gate: the baseline bench emitting
 #            BENCH_<git-short-sha>.json and diffing the hybrid's
 #            single-predict latency against the newest prior baseline
-#            (>10% regression fails)
+#            in commit order (>10% regression fails)
 #   backends just the backend-catalog gate: registry round-trip and
 #            per-backend snapshot tests, a grep asserting the registry
 #            in backend.rs is the only `match` on BackendKind, and a
@@ -604,7 +604,17 @@ bench_gate() {
     local sha out prev
     sha=$(git rev-parse --short HEAD)
     out="BENCH_${sha}.json"
-    prev=$(ls -t BENCH_*.json 2>/dev/null | grep -v "^${out}\$" | head -n 1 || true)
+    # The prior baseline is the newest one in commit order: walk the
+    # history and take the first BENCH_<sha>.json that exists. (File
+    # mtimes say nothing in a fresh checkout, where every file has one.)
+    prev=""
+    local rev
+    for rev in $(git log --format=%h); do
+        if [ "BENCH_${rev}.json" != "$out" ] && [ -f "BENCH_${rev}.json" ]; then
+            prev="BENCH_${rev}.json"
+            break
+        fi
+    done
 
     # Runs the baseline bench, writing $out at the repo root (cargo runs
     # the bench binary from the crate dir, hence the absolute path) and
